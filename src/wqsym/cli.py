@@ -17,6 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
+from .laws import merge_reports, report_to_json
 from .lincomb import lincomb_to_json, lincomb_to_text
 from . import hopf, morphisms, ppartitions
 from .compositions import comp_to_text, text_to_comp
@@ -27,6 +28,7 @@ class CLIError(Exception):
     pass
 
 
+ALGEBRAS = ("hsym", "ssym", "rqsym-m", "rqsym-f", "qsym")
 PERM_ALGEBRAS = {"hsym", "ssym"}
 BASIS_LETTER = {"hsym": "P", "ssym": "P", "rqsym-m": "M", "qsym": "M", "rqsym-f": "F"}
 
@@ -71,6 +73,12 @@ def _emit_tensor(t, algebra, fmt):
     else:
         print(json.dumps(lincomb_to_json(t, lambda kk: [encode(kk[0]), encode(kk[1])]),
                          indent=2))
+
+
+def _at_least(value, low, flag):
+    if value < low:
+        raise CLIError(f"{flag} must be at least {low}, got {value}")
+    return value
 
 
 def _parse_lambda(text):
@@ -141,7 +149,7 @@ def cmd_gamma(args):
             poset = ppartitions.parse_poset(fh.read())
     except OSError as exc:
         raise CLIError(f"cannot read poset file: {exc}") from None
-    series = ppartitions.gamma(poset, args.vars)
+    series = ppartitions.gamma(poset, _at_least(args.vars, 1, "--vars"))
     if args.format == "text":
         print(series.to_text())
     else:
@@ -152,7 +160,7 @@ def cmd_gamma(args):
 def cmd_expand(args):
     alpha = text_to_comp(args.elements[0])
     fn = ppartitions.expand_m if args.basis == "m" else ppartitions.expand_f
-    series = fn(alpha, args.vars)
+    series = fn(alpha, _at_least(args.vars, 1, "--vars"))
     if args.format == "text":
         print(series.to_text())
     else:
@@ -160,76 +168,56 @@ def cmd_expand(args):
     return 0
 
 
-def _suite_shard(payload):
-    """Worker entry: run one shard of a suite.  Module level so the
-    process pool can pickle it."""
-    kind, params, shard = payload
-    if kind == "hopf":
-        name, lam_text, degree = params
-        ctx = hopf.context_by_name(name, Fraction(lam_text))
-        return hopf.verify_hopf(ctx, degree, shard)
-    if kind == "square":
-        return morphisms.verify_square(params, shard)
-    if kind == "morphisms":
-        return morphisms.verify_morphism_laws(params, shard)
-    if kind == "annihilation":
-        return morphisms.verify_annihilation(params, shard)
-    if kind == "gamma":
-        max_len, k, pair_len, pair_k = params
-        return ppartitions.verify_gamma_identities(
-            max_len=max_len, k=k, pair_len=pair_len, pair_k=pair_k, shard=shard
-        )
-    raise ValueError(kind)
+def _verify_algebra(name, lam, max_degree, shard=(0, 1)):
+    """verify_hopf on the algebra called ``name``.  A context holds
+    lambdas, which cannot be sent to a worker, so each worker builds it."""
+    return hopf.verify_hopf(hopf.context_by_name(name, lam), max_degree, shard)
 
 
-def _run_sharded(kind, params, jobs):
-    """Run a suite across worker processes and merge the law reports.
+def _run_sharded(verifier, params, jobs):
+    """Run ``verifier(*params, shard=...)`` on ``jobs`` worker processes and
+    merge the shard reports, which gives the report of a single run.
 
-    The merge only concatenates shard tallies, so results are identical
-    for every jobs setting.
-    """
+    The verifier is sent to the workers by import path, so it must be a
+    module-level function."""
     if jobs <= 1:
-        return _suite_shard((kind, params, (0, 1)))
+        return verifier(*params)
     import concurrent.futures
+    import multiprocessing
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_suite_shard, (kind, params, (i, jobs))) for i in range(jobs)
-        ]
-        partials = [f.result() for f in futures]
-    return hopf.merge_reports(partials)
+    context = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+        futures = [pool.submit(verifier, *params, shard=(i, jobs)) for i in range(jobs)]
+        return merge_reports([f.result() for f in futures])
 
 
 def cmd_verify(args):
-    suite = args.suite
-    degree = args.max_degree
-    jobs = args.jobs
-    meta = {"suite": suite, "max_degree": degree}
-
-    if suite == "hopf":
+    degree = _at_least(args.max_degree, 0, "--max-degree")
+    meta = {"suite": args.suite, "max_degree": degree}
+    # (law name prefix, verifier, its arguments before the shard)
+    if args.suite == "hopf":
         if args.lam is None:
             raise CLIError("verify --suite hopf needs an explicit --lambda")
         lam = _parse_lambda(args.lam)
         meta["lambda"] = str(lam)
         algebras = [args.algebra] if args.algebra else ["hsym", "ssym", "rqsym-m"]
-        laws = []
-        for name in algebras:
-            got = _run_sharded("hopf", (name, str(lam), degree), jobs)
-            for law in got:
-                law.law = f"{name}: {law.law}"
-            laws.extend(got)
-    elif suite == "square":
-        laws = _run_sharded("square", degree, jobs)
-    elif suite == "morphisms":
-        laws = _run_sharded("morphisms", degree, jobs)
-        laws += _run_sharded("annihilation", degree, jobs)
-    elif suite == "gamma":
-        params = (degree, 2 * degree, degree + 1, 2 * (degree + 1))
-        laws = _run_sharded("gamma", params, jobs)
+        runs = [(f"{name}: ", _verify_algebra, (name, lam, degree)) for name in algebras]
+    elif args.suite == "square":
+        runs = [("", morphisms.verify_square, (degree,))]
+    elif args.suite == "morphisms":
+        runs = [("", morphisms.verify_morphism_laws, (degree,)),
+                ("", morphisms.verify_annihilation, (degree,))]
     else:
-        raise CLIError(f"unknown suite {suite!r}")
+        runs = [("", ppartitions.verify_gamma_identities,
+                 (degree, 2 * degree, degree + 1, 2 * (degree + 1)))]
 
-    report = hopf.report_to_json(laws, **meta)
+    laws = []
+    for prefix, verifier, params in runs:
+        for law in _run_sharded(verifier, params, args.jobs):
+            law.law = prefix + law.law
+            laws.append(law)
+
+    report = report_to_json(laws, **meta)
     failed = report["summary"]["failed"]
     total = report["summary"]["total"]
     if args.format == "text":
@@ -261,27 +249,17 @@ def build_parser():
         if nargs_elements:
             p.add_argument("elements", nargs=nargs_elements)
 
-    p = sub.add_parser("product", help="multiply two basis elements")
-    p.add_argument("--algebra", required=True,
-                   choices=("hsym", "ssym", "rqsym-m", "rqsym-f", "qsym"))
-    p.add_argument("--lambda", dest="lam", default="-1",
-                   help="quasi-shuffle weight for hsym (default -1)")
-    common(p, 2)
-    p.set_defaults(fn=cmd_product)
-
-    p = sub.add_parser("coproduct", help="coproduct of a basis element")
-    p.add_argument("--algebra", required=True,
-                   choices=("hsym", "ssym", "rqsym-m", "rqsym-f", "qsym"))
-    p.add_argument("--lambda", dest="lam", default="-1")
-    common(p, 1)
-    p.set_defaults(fn=cmd_coproduct)
-
-    p = sub.add_parser("antipode", help="antipode of a basis element")
-    p.add_argument("--algebra", required=True,
-                   choices=("hsym", "ssym", "rqsym-m", "rqsym-f", "qsym"))
-    p.add_argument("--lambda", dest="lam", default="-1")
-    common(p, 1)
-    p.set_defaults(fn=cmd_antipode)
+    for name, fn, n_elements, help_text in (
+        ("product", cmd_product, 2, "multiply two basis elements"),
+        ("coproduct", cmd_coproduct, 1, "coproduct of a basis element"),
+        ("antipode", cmd_antipode, 1, "antipode of a basis element"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--algebra", required=True, choices=ALGEBRAS)
+        p.add_argument("--lambda", dest="lam", default="-1",
+                       help="quasi-shuffle weight for hsym (default -1)")
+        common(p, n_elements)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("convert", help="change basis between F and M")
     p.add_argument("--from", dest="frm", required=True, choices=("f", "m"))

@@ -40,10 +40,6 @@ class _Eps:
 EPS = _Eps()
 
 
-def is_eps(part):
-    return part is EPS
-
-
 def ntilde_add(a, b):
     """Monoid addition on {0, e, 1, 2, ...}."""
     if a is EPS:

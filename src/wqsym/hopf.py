@@ -1,11 +1,12 @@
 """The Hopf algebras of signed permutations and of (weak) quasi-symmetric
-functions, plus a generic axiom checker.
+functions, and ``verify_hopf``, which states the Hopf axioms of any of
+them as laws for the runner in ``laws``.
 
 Each algebra is packaged as a ``HopfContext``: basis-level product,
 coproduct, counit, degree, antipode, and an exhaustive basis enumerator
 per degree.  Degrees are word length on the permutation side and total
-weight on the composition side, so every stratum is finite and the
-checker can sweep it.
+weight on the composition side, so every stratum is finite and
+``verify_hopf`` can sweep it.
 
 Antipodes come in two flavours.  Closed form for the composition side:
 
@@ -18,9 +19,12 @@ deg(a) < deg(x).
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from .lincomb import LinComb, lc_mul, lincomb_to_json, tensor_bilinear
+from .laws import Law, graded_tuples, run_laws
+from .laws import report_to_json  # re-exported: hopf.report_to_json is public
+from .lincomb import LinComb, lc_mul, tensor_bilinear
 from .compositions import (
     EPS,
     comp_to_text,
@@ -99,24 +103,8 @@ def m_to_f(alpha):
     )
 
 
-_F_TO_M_CACHE = {}
-_M_TO_F_CACHE = {}
-
-
-def f_to_m_cached(alpha):
-    lc = _F_TO_M_CACHE.get(alpha)
-    if lc is None:
-        lc = f_to_m(alpha)
-        _F_TO_M_CACHE[alpha] = lc
-    return lc
-
-
-def m_to_f_cached(alpha):
-    lc = _M_TO_F_CACHE.get(alpha)
-    if lc is None:
-        lc = m_to_f(alpha)
-        _M_TO_F_CACHE[alpha] = lc
-    return lc
+f_to_m_cached = functools.cache(f_to_m)
+m_to_f_cached = functools.cache(m_to_f)
 
 
 def rqsym_product_f(alpha, beta):
@@ -174,17 +162,16 @@ class HopfContext:
         memo = self._antipode_memo
         if key in memo:
             return memo[key]
-        out = LinComb.zero()
+        terms = []
         for (a, b), c in self.coproduct(key).terms.items():
-            da = self.degree(a)
-            if da < deg:
+            if self.degree(a) < deg:
                 for ka, ca in self._graded_antipode(a).terms.items():
-                    out = out + self.product(ka, b).scale(c * ca)
+                    terms.extend((k, -c * ca * cp)
+                                 for k, cp in self.product(ka, b).terms.items())
             else:
                 # connectedness: the only non-reduced term is key @ unit
                 assert a == key and b == self.unit and c == 1, (key, a, b, c)
-        out = -out
-        memo[key] = out
+        out = memo[key] = LinComb(terms)
         return out
 
 
@@ -274,196 +261,76 @@ def context_by_name(name, lam=-1):
 # axiom verification
 
 
-class LawReport:
-    """Pass/fail tally for one law, keeping serialized counterexamples."""
-
-    __slots__ = ("law", "checked", "failures", "max_failures")
-
-    def __init__(self, law, max_failures=20):
-        self.law = law
-        self.checked = 0
-        self.failures = []
-        self.max_failures = max_failures
-
-    def record(self, ok, inputs, lhs=None, rhs=None):
-        self.checked += 1
-        if not ok and len(self.failures) < self.max_failures:
-            self.failures.append({"inputs": inputs, "lhs": lhs, "rhs": rhs})
-
-    @property
-    def failed(self):
-        return len(self.failures)
-
-    def to_json(self):
-        entry = {
-            "law": self.law,
-            "checked": self.checked,
-            "status": "pass" if not self.failures else "fail",
-        }
-        if self.failures:
-            entry["failures"] = self.failures
-        return entry
-
-
-def merge_reports(reports):
-    """Combine per-shard law reports into one report dict."""
-    by_law = {}
-    order = []
-    for rep in reports:
-        for law in rep:
-            if law.law not in by_law:
-                by_law[law.law] = LawReport(law.law)
-                order.append(law.law)
-            tgt = by_law[law.law]
-            tgt.checked += law.checked
-            room = max(0, tgt.max_failures - len(tgt.failures))
-            tgt.failures.extend(law.failures[:room])
-    return [by_law[name] for name in order]
-
-
-def report_to_json(laws, **meta):
-    checks = [law.to_json() for law in laws]
-    total = sum(law.checked for law in laws)
-    failed = sum(law.failed for law in laws)
-    summary = dict(meta)
-    summary.update(
-        {"total": total, "failed": failed, "status": "pass" if failed == 0 else "fail"}
-    )
-    return {"checks": checks, "summary": summary}
-
-
-def _shard_iter(items, shard):
-    idx, count = shard
-    for i, item in enumerate(items):
-        if i % count == idx:
-            yield item
-
-
 def verify_hopf(ctx, max_degree, shard=(0, 1)):
     """Exhaustively check the Hopf axioms on all basis strata.
 
     Singles run to degree ``max_degree``; pairs and triples run to summed
-    degree ``max_degree + 1``.  Returns a list of LawReport.
+    degree ``max_degree + 1``.  Returns one LawReport per axiom.
     """
     strata = {d: ctx.basis(d) for d in range(max_degree + 2)}
-    singles = [x for d in range(max_degree + 1) for x in strata[d]]
+    singles = graded_tuples(strata, 1, max_degree)
+    pairs = graded_tuples(strata, 2, max_degree + 1)
+    triples = graded_tuples(strata, 3, max_degree + 1)
     unit = ctx.unit
-    unit_lc = LinComb.single(unit)
-    serialize = lambda lc: lincomb_to_json(lc, ctx.key_text)
+    key_text = ctx.key_text
+    tensor_text = lambda kk: [key_text(kk[0]), key_text(kk[1])]
 
-    law_unit = LawReport("unit laws")
-    law_coassoc = LawReport("coassociativity")
-    law_counit = LawReport("counit laws")
-    law_cograded = LawReport("cograded coproduct")
-    law_antipode_l = LawReport("antipode convolution (left)")
-    law_antipode_r = LawReport("antipode convolution (right)")
-    law_assoc = LawReport("product associativity")
-    law_compat = LawReport("coproduct multiplicativity")
-    law_counit_mult = LawReport("counit multiplicativity")
-
-    for x in _shard_iter(singles, shard):
+    def unit_laws(x):
         xl = LinComb.single(x)
-        law_unit.record(
-            ctx.product(unit, x) == xl and ctx.product(x, unit) == xl,
-            [ctx.key_text(x)],
-        )
-        dx = ctx.coproduct(x)
+        return ctx.product(unit, x) == xl and ctx.product(x, unit) == xl
 
-        left = {}
-        right = {}
-        for (a, b), c in dx.terms.items():
-            for (p, q), c2 in ctx.coproduct(a).terms.items():
-                key = (p, q, b)
-                left[key] = left.get(key, 0) + c * c2
-            for (p, q), c2 in ctx.coproduct(b).terms.items():
-                key = (a, p, q)
-                right[key] = right.get(key, 0) + c * c2
-        law_coassoc.record(
-            {k: v for k, v in left.items() if v} == {k: v for k, v in right.items() if v},
-            [ctx.key_text(x)],
-        )
-
-        lcounit = LinComb((b, c * ctx.counit(a)) for (a, b), c in dx.terms.items())
-        rcounit = LinComb((a, c * ctx.counit(b)) for (a, b), c in dx.terms.items())
-        law_counit.record(lcounit == xl and rcounit == xl, [ctx.key_text(x)])
-
-        degx = ctx.degree(x)
-        law_cograded.record(
-            all(ctx.degree(a) + ctx.degree(b) == degx for (a, b) in dx.terms),
-            [ctx.key_text(x)],
-        )
-
-        target = unit_lc.scale(ctx.counit(x))
-        conv_l = LinComb.zero()
-        conv_r = LinComb.zero()
-        for (a, b), c in dx.terms.items():
-            for ka, ca in ctx.antipode(a).terms.items():
-                conv_l = conv_l + ctx.product(ka, b).scale(c * ca)
-            for kb, cb in ctx.antipode(b).terms.items():
-                conv_r = conv_r + ctx.product(a, kb).scale(c * cb)
-        law_antipode_l.record(
-            conv_l == target, [ctx.key_text(x)], serialize(conv_l), serialize(target)
-        )
-        law_antipode_r.record(
-            conv_r == target, [ctx.key_text(x)], serialize(conv_r), serialize(target)
-        )
-
-    pair_budget = max_degree + 1
-    pairs = [
-        (x, y)
-        for dx in range(pair_budget + 1)
-        for dy in range(pair_budget + 1 - dx)
-        for x in strata[dx]
-        for y in strata[dy]
-    ]
-    for x, y in _shard_iter(pairs, shard):
-        prod = ctx.product(x, y)
-        lhs = prod.map_basis(ctx.coproduct)
-        rhs = tensor_bilinear(ctx.coproduct(x), ctx.coproduct(y), ctx.product)
-        law_compat.record(
-            lhs == rhs,
-            [ctx.key_text(x), ctx.key_text(y)],
-            serialize(lhs),
-            serialize(rhs),
-        )
-        eps_prod = sum(c * ctx.counit(k) for k, c in prod.terms.items())
-        law_counit_mult.record(
-            eps_prod == ctx.counit(x) * ctx.counit(y),
-            [ctx.key_text(x), ctx.key_text(y)],
-        )
-
-    triples = [
-        (x, y, z)
-        for dx in range(pair_budget + 1)
-        for dy in range(pair_budget + 1 - dx)
-        for dz in range(pair_budget + 1 - dx - dy)
-        for x in strata[dx]
-        for y in strata[dy]
-        for z in strata[dz]
-    ]
-    for x, y, z in _shard_iter(triples, shard):
+    def associativity(x, y, z):
         lhs = ctx.product(x, y).map_basis(lambda k: ctx.product(k, z))
-        rhs = ctx.product(y, z)
-        rhs = LinComb(
-            (k2, c * c2)
-            for k, c in rhs.terms.items()
-            for k2, c2 in ctx.product(x, k).terms.items()
-        )
-        law_assoc.record(
-            lhs == rhs,
-            [ctx.key_text(x), ctx.key_text(y), ctx.key_text(z)],
-            serialize(lhs),
-            serialize(rhs),
-        )
+        rhs = ctx.product(y, z).map_basis(lambda k: ctx.product(x, k))
+        return lhs, rhs
 
-    return [
-        law_unit,
-        law_assoc,
-        law_coassoc,
-        law_counit,
-        law_counit_mult,
-        law_compat,
-        law_cograded,
-        law_antipode_l,
-        law_antipode_r,
-    ]
+    def coassociativity(x):
+        dx = ctx.coproduct(x).terms.items()
+        left = LinComb(((p, q, b), c * c2) for (a, b), c in dx
+                       for (p, q), c2 in ctx.coproduct(a).terms.items())
+        right = LinComb(((a, p, q), c * c2) for (a, b), c in dx
+                        for (p, q), c2 in ctx.coproduct(b).terms.items())
+        return left == right
+
+    def counit_laws(x):
+        dx = ctx.coproduct(x).terms.items()
+        xl = LinComb.single(x)
+        return (LinComb((b, c * ctx.counit(a)) for (a, b), c in dx) == xl
+                and LinComb((a, c * ctx.counit(b)) for (a, b), c in dx) == xl)
+
+    def counit_multiplicativity(x, y):
+        eps = sum(c * ctx.counit(k) for k, c in ctx.product(x, y).terms.items())
+        return eps == ctx.counit(x) * ctx.counit(y)
+
+    def coproduct_multiplicativity(x, y):
+        lhs = ctx.product(x, y).map_basis(ctx.coproduct)
+        return lhs, tensor_bilinear(ctx.coproduct(x), ctx.coproduct(y), ctx.product)
+
+    def cograded(x):
+        degx = ctx.degree(x)
+        return all(ctx.degree(a) + ctx.degree(b) == degx for a, b in ctx.coproduct(x).terms)
+
+    def antipode_left(x):
+        conv = LinComb((k, c * cs * cp) for (a, b), c in ctx.coproduct(x).terms.items()
+                       for s, cs in ctx.antipode(a).terms.items()
+                       for k, cp in ctx.product(s, b).terms.items())
+        return conv, LinComb.single(unit, ctx.counit(x))
+
+    def antipode_right(x):
+        conv = LinComb((k, c * cs * cp) for (a, b), c in ctx.coproduct(x).terms.items()
+                       for s, cs in ctx.antipode(b).terms.items()
+                       for k, cp in ctx.product(a, s).terms.items())
+        return conv, LinComb.single(unit, ctx.counit(x))
+
+    return run_laws([
+        Law("unit laws", singles, unit_laws, key_text),
+        Law("product associativity", triples, associativity, key_text, key_text),
+        Law("coassociativity", singles, coassociativity, key_text),
+        Law("counit laws", singles, counit_laws, key_text),
+        Law("counit multiplicativity", pairs, counit_multiplicativity, key_text),
+        Law("coproduct multiplicativity", pairs, coproduct_multiplicativity,
+            key_text, tensor_text),
+        Law("cograded coproduct", singles, cograded, key_text),
+        Law("antipode convolution (left)", singles, antipode_left, key_text, key_text),
+        Law("antipode convolution (right)", singles, antipode_right, key_text, key_text),
+    ], shard)

@@ -182,10 +182,11 @@ def tensor_bilinear(a, b, mult):
 
 def tensor_bimap(t, f, g):
     """Apply basis maps to both tensor legs: sum c * f(a) @ g(b)."""
-    out = LinComb.zero()
-    for (ka, kb), c in t.terms.items():
-        out = out + tensor(f(ka), g(kb)).scale(c)
-    return out
+    return LinComb(
+        (key, c * ct)
+        for (ka, kb), c in t.terms.items()
+        for key, ct in tensor(f(ka), g(kb)).terms.items()
+    )
 
 
 def format_coeff(c):

@@ -15,7 +15,8 @@ basis after converting, which is multiplicity free.
 """
 from __future__ import annotations
 
-from .lincomb import LinComb, lc_mul, lincomb_to_json, tensor_bimap
+from .laws import Law, graded_tuples, run_laws
+from .lincomb import LinComb, lc_mul, tensor_bimap
 from .compositions import (
     EPS,
     comp_of_descents,
@@ -25,7 +26,6 @@ from .compositions import (
     wcomp_preimage,
 )
 from .hopf import (
-    LawReport,
     f_to_m_cached,
     hsym_coproduct,
     m_to_f_cached,
@@ -118,26 +118,38 @@ def _to_monomials(f_combo):
     return f_combo.map_basis(f_to_m_cached)
 
 
-def _serialize(lc):
-    return lincomb_to_json(lc, comp_to_text)
+def _multiplicative_into_f(f, product):
+    """Check that a map f into the F basis sends ``product`` to the
+    product of fundamentals, compared in the monomial basis."""
+    def check(s, t):
+        return (_to_monomials(product(s, t).map_basis(f)),
+                _to_monomials(lc_mul(f(s), f(t), rqsym_product_f)))
+    return check
 
 
-def _shard_iter(items, shard):
-    idx, count = shard
-    for i, item in enumerate(items):
-        if i % count == idx:
-            yield item
+def _comultiplicative_into_f(f):
+    """Check that a map f into the F basis intertwines the standardized
+    deconcatenation with the F coproduct, compared in the monomial basis."""
+    fm = lambda k: _to_monomials(f(k))
+
+    def check(pi):
+        lhs = tensor_bimap(hsym_coproduct(pi), fm, fm)
+        rhs = tensor_bimap(f(pi).map_basis(rqsym_coproduct_f), f_to_m_cached, f_to_m_cached)
+        return lhs == rhs
+    return check
 
 
 def verify_square(max_len, shard=(0, 1)):
     """d1 phi2 = phi1 d2 on every signed permutation of length <= max_len."""
-    law = LawReport("commuting square d1.phi2 = phi1.d2")
-    perms = [pi for n in range(max_len + 1) for pi in signed_permutations(n)]
-    for pi in _shard_iter(perms, shard):
-        lhs = _to_monomials(phi2(pi).map_basis(d1))
-        rhs = _to_monomials(phi1_f(wcomp(pi)))
-        law.record(lhs == rhs, [perm_to_text(pi)], _serialize(lhs), _serialize(rhs))
-    return [law]
+    perms = [list(signed_permutations(n)) for n in range(max_len + 1)]
+
+    def square(pi):
+        return _to_monomials(phi2(pi).map_basis(d1)), _to_monomials(phi1_f(wcomp(pi)))
+
+    return run_laws([
+        Law("commuting square d1.phi2 = phi1.d2", graded_tuples(perms, 1, max_len),
+            square, perm_to_text, comp_to_text),
+    ], shard)
 
 
 def verify_morphism_laws(budget=4, shard=(0, 1)):
@@ -149,124 +161,49 @@ def verify_morphism_laws(budget=4, shard=(0, 1)):
     composition side.
     """
     reach = budget + 1
-    signed = {n: list(signed_permutations(n)) for n in range(reach + 1)}
-    plain = {n: list(positive_permutations(n)) for n in range(reach + 1)}
-    comps = {w: regularized_compositions(w) for w in range(reach + 1)}
+    signed = [list(signed_permutations(n)) for n in range(reach + 1)]
+    plain = [list(positive_permutations(n)) for n in range(reach + 1)]
+    comps = [regularized_compositions(w) for w in range(reach + 1)]
+    signed_pairs = graded_tuples(signed, 2, reach)
+    signed_singles = graded_tuples(signed, 1, reach)
+    comp_singles = graded_tuples(comps, 1, reach)
+    weight_minus_one = lambda s, t: shifted_quasi_shuffle(s, t, -1)
 
-    signed_singles = [pi for n in range(reach + 1) for pi in signed[n]]
-    signed_pairs = [
-        (s, t)
-        for m in range(reach + 1)
-        for n in range(reach + 1 - m)
-        for s in signed[m]
-        for t in signed[n]
-    ]
-    plain_pairs = [
-        (s, t)
-        for m in range(reach + 1)
-        for n in range(reach + 1 - m)
-        for s in plain[m]
-        for t in plain[n]
-    ]
-    comp_singles = [a for w in range(reach + 1) for a in comps[w]]
-    comp_pairs = [
-        (a, b)
-        for wa in range(reach + 1)
-        for wb in range(reach + 1 - wa)
-        for a in comps[wa]
-        for b in comps[wb]
-    ]
+    def phi2_product(s, t):
+        return (weight_minus_one(s, t).map_basis(phi2),
+                lc_mul(phi2(s), phi2(t), shifted_shuffle))
 
-    law_phi2_prod = LawReport("phi2 is multiplicative")
-    law_phi2_coprod = LawReport("phi2 is comultiplicative")
-    law_d2_prod = LawReport("d2 is multiplicative")
-    law_d2_coprod = LawReport("d2 is comultiplicative")
-    law_d1_prod = LawReport("d1 is multiplicative")
-    law_d1_coprod = LawReport("d1 is comultiplicative")
-    law_phi1_prod = LawReport("phi1 is multiplicative")
-    law_phi1_coprod = LawReport("phi1 is comultiplicative")
-    law_phi1_bases = LawReport("phi1_F matches conjugated phi1_M")
+    def phi2_coproduct(pi):
+        return (tensor_bimap(hsym_coproduct(pi), phi2, phi2)
+                == phi2(pi).map_basis(hsym_coproduct))
 
-    for s, t in _shard_iter(signed_pairs, shard):
-        prod = shifted_quasi_shuffle(s, t, -1)
-        lhs = prod.map_basis(phi2)
-        rhs = lc_mul(phi2(s), phi2(t), shifted_shuffle)
-        law_phi2_prod.record(
-            lhs == rhs,
-            [perm_to_text(s), perm_to_text(t)],
-            lincomb_to_json(lhs, perm_to_text),
-            lincomb_to_json(rhs, perm_to_text),
-        )
-        lhs2 = _to_monomials(prod.map_basis(d2))
-        rhs2 = _to_monomials(lc_mul(d2(s), d2(t), rqsym_product_f))
-        law_d2_prod.record(
-            lhs2 == rhs2,
-            [perm_to_text(s), perm_to_text(t)],
-            _serialize(lhs2),
-            _serialize(rhs2),
-        )
+    def phi1_product(a, b):
+        return star_product(a, b).map_basis(phi1_m), lc_mul(phi1_m(a), phi1_m(b), star_product)
 
-    for pi in _shard_iter(signed_singles, shard):
-        dx = hsym_coproduct(pi)
-        lhs = tensor_bimap(dx, phi2, phi2)
-        rhs = phi2(pi).map_basis(hsym_coproduct)
-        law_phi2_coprod.record(lhs == rhs, [perm_to_text(pi)])
-        d2m = lambda k: _to_monomials(d2(k))
-        lhs2 = tensor_bimap(dx, d2m, d2m)
-        rhs2 = tensor_bimap(
-            d2(pi).map_basis(rqsym_coproduct_f), f_to_m_cached, f_to_m_cached
-        )
-        law_d2_coprod.record(lhs2 == rhs2, [perm_to_text(pi)])
+    def phi1_coproduct(a):
+        return (tensor_bimap(rqsym_coproduct_m(a), phi1_m, phi1_m)
+                == phi1_m(a).map_basis(rqsym_coproduct_m))
 
-    for s, t in _shard_iter(plain_pairs, shard):
-        prod = shifted_shuffle(s, t)
-        lhs = _to_monomials(prod.map_basis(d1))
-        rhs = _to_monomials(lc_mul(d1(s), d1(t), rqsym_product_f))
-        law_d1_prod.record(
-            lhs == rhs,
-            [perm_to_text(s), perm_to_text(t)],
-            _serialize(lhs),
-            _serialize(rhs),
-        )
+    def phi1_bases(a):
+        return phi1_f(a), f_to_m_cached(a).map_basis(phi1_m).map_basis(m_to_f_cached)
 
-    d1m = lambda k: _to_monomials(d1(k))
-    for pi in _shard_iter([p for n in range(reach + 1) for p in plain[n]], shard):
-        lhs = tensor_bimap(hsym_coproduct(pi), d1m, d1m)
-        rhs = tensor_bimap(
-            d1(pi).map_basis(rqsym_coproduct_f), f_to_m_cached, f_to_m_cached
-        )
-        law_d1_coprod.record(lhs == rhs, [perm_to_text(pi)])
-
-    for a, b in _shard_iter(comp_pairs, shard):
-        lhs = star_product(a, b).map_basis(phi1_m)
-        rhs = lc_mul(phi1_m(a), phi1_m(b), star_product)
-        law_phi1_prod.record(
-            lhs == rhs, [comp_to_text(a), comp_to_text(b)], _serialize(lhs), _serialize(rhs)
-        )
-
-    for a in _shard_iter(comp_singles, shard):
-        lhs = tensor_bimap(rqsym_coproduct_m(a), phi1_m, phi1_m)
-        rhs = phi1_m(a).map_basis(rqsym_coproduct_m)
-        law_phi1_coprod.record(lhs == rhs, [comp_to_text(a)])
-        conjugated = f_to_m_cached(a).map_basis(phi1_m).map_basis(m_to_f_cached)
-        law_phi1_bases.record(
-            phi1_f(a) == conjugated,
-            [comp_to_text(a)],
-            _serialize(phi1_f(a)),
-            _serialize(conjugated),
-        )
-
-    return [
-        law_phi2_prod,
-        law_phi2_coprod,
-        law_d2_prod,
-        law_d2_coprod,
-        law_d1_prod,
-        law_d1_coprod,
-        law_phi1_prod,
-        law_phi1_coprod,
-        law_phi1_bases,
-    ]
+    return run_laws([
+        Law("phi2 is multiplicative", signed_pairs, phi2_product, perm_to_text, perm_to_text),
+        Law("phi2 is comultiplicative", signed_singles, phi2_coproduct, perm_to_text),
+        Law("d2 is multiplicative", signed_pairs,
+            _multiplicative_into_f(d2, weight_minus_one), perm_to_text, comp_to_text),
+        Law("d2 is comultiplicative", signed_singles, _comultiplicative_into_f(d2),
+            perm_to_text),
+        Law("d1 is multiplicative", graded_tuples(plain, 2, reach),
+            _multiplicative_into_f(d1, shifted_shuffle), perm_to_text, comp_to_text),
+        Law("d1 is comultiplicative", graded_tuples(plain, 1, reach),
+            _comultiplicative_into_f(d1), perm_to_text),
+        Law("phi1 is multiplicative", graded_tuples(comps, 2, reach), phi1_product,
+            comp_to_text, comp_to_text),
+        Law("phi1 is comultiplicative", comp_singles, phi1_coproduct, comp_to_text),
+        Law("phi1_F matches conjugated phi1_M", comp_singles, phi1_bases,
+            comp_to_text, comp_to_text),
+    ], shard)
 
 
 def _phi2_of_product(s, t):
@@ -301,13 +238,11 @@ def verify_annihilation(max_len=4, shard=(0, 1)):
       (for all-negative factors: length >= 2) kill the product;
     * multiplying by the one-letter negative permutation kills the
       product on both sides.
-    """
-    law_pnp = LawReport("phi2 kills +-+ patterns")
-    law_trail = LawReport("phi2 kills trailing negative runs")
-    law_single_neg = LawReport("phi2 kills products with the negative letter")
 
-    perms = {n: list(signed_permutations(n)) for n in range(max_len + 1)}
-    every = [pi for n in range(max_len + 1) for pi in perms[n]]
+    The first law shards its left factors and checks each against every
+    right factor.
+    """
+    every = [pi for n in range(max_len + 1) for pi in signed_permutations(n)]
 
     def has_pnp(word):
         seen_pos = seen_pos_neg = False
@@ -320,15 +255,6 @@ def verify_annihilation(max_len=4, shard=(0, 1)):
                 seen_pos_neg = True
         return False
 
-    pnp = [pi for pi in every if has_pnp(pi)]
-    zero = LinComb.zero()
-    for s in _shard_iter(pnp, shard):
-        for t in every:
-            law_pnp.record(
-                _phi2_of_product(s, t) == zero and _phi2_of_product(t, s) == zero,
-                [perm_to_text(s), perm_to_text(t)],
-            )
-
     blocky = [
         (pi, _single_block_trailing(pi))
         for pi in every
@@ -340,34 +266,28 @@ def verify_annihilation(max_len=4, shard=(0, 1)):
         for t, jt in blocky
         if js >= 2 or jt >= 2
     ]
-    for s, t in _shard_iter(qualifying, shard):
-        law_trail.record(
-            _phi2_of_product(s, t) == zero, [perm_to_text(s), perm_to_text(t)]
-        )
-
+    kills_both_ways = lambda s, t: not _phi2_of_product(s, t) and not _phi2_of_product(t, s)
     neg = (-1,)
-    for s in _shard_iter(every, shard):
-        law_single_neg.record(
-            _phi2_of_product(s, neg) == zero and _phi2_of_product(neg, s) == zero,
-            [perm_to_text(s)],
-        )
 
-    return [law_pnp, law_trail, law_single_neg]
+    return run_laws([
+        Law("phi2 kills +-+ patterns", [(pi,) for pi in every if has_pnp(pi)],
+            kills_both_ways, perm_to_text, expand=lambda unit: (unit + (t,) for t in every)),
+        Law("phi2 kills trailing negative runs", qualifying,
+            lambda s, t: not _phi2_of_product(s, t), perm_to_text),
+        Law("phi2 kills products with the negative letter", [(pi,) for pi in every],
+            lambda s: kills_both_ways(s, neg), perm_to_text),
+    ], shard)
 
 
 def verify_surjectivity(max_len=4):
     """phi2 hits every permutation (it fixes them) and d2 hits every
     fundamental basis key, via an explicit preimage."""
-    law_phi2 = LawReport("phi2 hits every permutation")
-    law_d2 = LawReport("d2 hits every fundamental key")
-    for n in range(max_len + 1):
-        for pi in positive_permutations(n):
-            law_phi2.record(phi2(pi) == LinComb.single(pi), [perm_to_text(pi)])
-    for w in range(max_len + 1):
-        for alpha in regularized_compositions(w):
-            pi = wcomp_preimage(alpha)
-            law_d2.record(
-                wcomp(pi) == alpha and d2(pi) == LinComb.single(alpha),
-                [comp_to_text(alpha), perm_to_text(pi)],
-            )
-    return [law_phi2, law_d2]
+    plain = [list(positive_permutations(n)) for n in range(max_len + 1)]
+    comps = [regularized_compositions(w) for w in range(max_len + 1)]
+    return run_laws([
+        Law("phi2 hits every permutation", graded_tuples(plain, 1, max_len),
+            lambda pi: phi2(pi) == LinComb.single(pi), perm_to_text),
+        Law("d2 hits every fundamental key", graded_tuples(comps, 1, max_len),
+            lambda alpha: (d2(wcomp_preimage(alpha)), LinComb.single(alpha)),
+            comp_to_text, comp_to_text),
+    ])

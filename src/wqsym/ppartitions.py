@@ -21,7 +21,7 @@ import random
 
 from .lincomb import elem_key, format_coeff, parse_coeff
 from .compositions import EPS, descent_set, eps_runs, ntilde_add, wcomp
-from .hopf import LawReport
+from .laws import Law, graded_tuples, run_laws
 from .words import (
     perm_to_text,
     shifted_quasi_shuffle,
@@ -414,13 +414,6 @@ def expand_f(alpha, k):
 # randomized posets and the generating-function verification suite
 
 
-def _shard_iter(items, shard):
-    idx, count = shard
-    for i, item in enumerate(items):
-        if i % count == idx:
-            yield item
-
-
 def random_poset(rng, max_size, label_pool=9):
     """Random signed labeled poset: distinct absolute labels with random
     signs, covers drawn forward along a shuffled order."""
@@ -454,28 +447,7 @@ def verify_gamma_identities(max_len=3, k=6, pair_len=4, pair_k=8,
     * the partitions of a poset are the union of the partitions of its
       linear extensions, on random posets.
     """
-    law_fund = LawReport("Gamma(pi) = F_{wcomp(pi)}")
-    law_prod = LawReport("Gamma(sigma) Gamma(tau) = Gamma(sigma * tau)")
-    law_union = LawReport("Gamma(P u Q) = Gamma(P) Gamma(Q)")
-    law_extensions = LawReport("A(P) = union of A(pi) over linear extensions")
-
-    perms = [pi for n in range(max_len + 1) for pi in signed_permutations(n)]
-    for pi in _shard_iter(perms, shard):
-        lhs = gamma_word(pi, k)
-        rhs = expand_f(wcomp(pi), k)
-        law_fund.record(lhs == rhs, [perm_to_text(pi)])
-
-    pairs = [
-        (s, t)
-        for m in range(pair_len + 1)
-        for n_ in range(pair_len + 1 - m)
-        for s in signed_permutations(m)
-        for t in signed_permutations(n_)
-    ]
-    for s, t in _shard_iter(pairs, shard):
-        lhs = gamma_word(s, pair_k) * gamma_word(t, pair_k)
-        rhs = gamma_combo(shifted_quasi_shuffle(s, t, -1), pair_k)
-        law_prod.record(lhs == rhs, [perm_to_text(s), perm_to_text(t)])
+    perms = [list(signed_permutations(n)) for n in range(max(max_len, pair_len) + 1)]
 
     rng = random.Random(seed)
     union_cases = []
@@ -493,13 +465,9 @@ def verify_gamma_identities(max_len=3, k=6, pair_len=4, pair_k=8,
             if rng.random() < 0.4
         ]
         union_cases.append((p, Poset(q_labels, q_covers)))
-    for p, q in _shard_iter(union_cases, shard):
-        lhs = gamma(p.disjoint_union(q), random_k)
-        rhs = gamma(p, random_k) * gamma(q, random_k)
-        law_union.record(lhs == rhs, [repr(p), repr(q)])
+    extension_cases = [(random_poset(rng, 4),) for _ in range(random_cases)]
 
-    extension_cases = [random_poset(rng, 4) for _ in range(random_cases)]
-    for p in _shard_iter(extension_cases, shard):
+    def extensions(p):
         st, _ = p.standardize()
         direct = _assignments_as_set(enumerate_ppartitions(st, random_k))
         union = set()
@@ -507,6 +475,17 @@ def verify_gamma_identities(max_len=3, k=6, pair_len=4, pair_k=8,
             union |= _assignments_as_set(
                 enumerate_ppartitions(chain_poset(pi), random_k)
             )
-        law_extensions.record(direct == union, [repr(p)])
+        return direct == union
 
-    return [law_fund, law_prod, law_union, law_extensions]
+    return run_laws([
+        Law("Gamma(pi) = F_{wcomp(pi)}", graded_tuples(perms, 1, max_len),
+            lambda pi: gamma_word(pi, k) == expand_f(wcomp(pi), k), perm_to_text),
+        Law("Gamma(sigma) Gamma(tau) = Gamma(sigma * tau)", graded_tuples(perms, 2, pair_len),
+            lambda s, t: (gamma_word(s, pair_k) * gamma_word(t, pair_k)
+                          == gamma_combo(shifted_quasi_shuffle(s, t, -1), pair_k)),
+            perm_to_text),
+        Law("Gamma(P u Q) = Gamma(P) Gamma(Q)", union_cases,
+            lambda p, q: gamma(p.disjoint_union(q), random_k)
+            == gamma(p, random_k) * gamma(q, random_k), repr),
+        Law("A(P) = union of A(pi) over linear extensions", extension_cases, extensions, repr),
+    ], shard)

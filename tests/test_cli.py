@@ -1,9 +1,13 @@
 """Command line behaviour: encodings, determinism, exit codes."""
 
 import json
+import os
 
+import pytest
+
+from wqsym import morphisms
 from wqsym.cli import main
-from wqsym.hopf import LawReport
+from wqsym.laws import Law, run_laws
 from wqsym.lincomb import lincomb_from_json
 from wqsym.words import text_to_perm
 from wqsym.compositions import text_to_comp
@@ -124,20 +128,55 @@ def test_parse_errors_exit_two(capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", "--suite", "hopf", "--max-degree", "1")
     assert code == 2 and "lambda" in err
+    code, _, err = run(capsys, "verify", "--suite", "square", "--max-degree", "-3")
+    assert code == 2 and "--max-degree" in err
+    code, _, err = run(capsys, "verify", "--suite", "gamma", "--max-degree", "-1")
+    assert code == 2 and "--max-degree" in err
+    code, _, err = run(capsys, "expand", "--basis", "m", "--vars", "-2", "1,e")
+    assert code == 2 and "--vars" in err
+    code, _, err = run(capsys, "expand", "--basis", "f", "--vars", "0", "1")
+    assert code == 2 and "--vars" in err
+
+
+def failing_square(max_len, shard=(0, 1)):
+    """Stands in for verify_square: 31 of its 63 cases fail.  Module level,
+    so that worker processes can import it."""
+    law = Law("odd sums", [(a,) for a in range(7)], lambda a, b: (a + b) % 2 == 0,
+              str, expand=lambda unit: (unit + (b,) for b in range(9)))
+    return run_laws([law], shard)
 
 
 def test_verification_failure_exits_one(capsys, monkeypatch):
-    import wqsym.cli as cli
-
-    def fake(payload):
-        law = LawReport("always fails")
-        law.record(False, ["x"], "a", "b")
-        return [law]
-
-    monkeypatch.setattr(cli, "_suite_shard", fake)
-    code, out, _ = run(capsys, "verify", "--suite", "square", "--max-degree", "1")
+    monkeypatch.setattr(morphisms, "verify_square", failing_square)
+    args = ("verify", "--suite", "square", "--max-degree", "1")
+    code, solo, _ = run(capsys, *args)
     assert code == 1
-    assert json.loads(out)["summary"]["status"] == "fail"
+    summary = json.loads(solo)["summary"]
+    assert summary["status"] == "fail" and summary["failed"] == 31
+    code, duo, _ = run(capsys, *args, "--jobs", "2")
+    assert code == 1
+    assert duo == solo
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("suite, flags", [
+    ("hopf", ("--lambda", "-1", "--max-degree", "2")),
+    ("square", ("--max-degree", "3")),
+    ("morphisms", ("--max-degree", "2")),
+    ("gamma", ("--max-degree", "2")),
+])
+def test_verify_matches_golden(capsys, suite, flags):
+    """The reports match outputs recorded before the law runner existed,
+    except that a law with no cases now reports "empty" instead of "pass"."""
+    code, out, _ = run(capsys, "verify", "--suite", suite, *flags)
+    assert code == 0
+    with open(os.path.join(GOLDEN, f"verify_{suite}.json")) as fh:
+        golden = fh.read()
+    golden = golden.replace('"checked": 0,\n      "status": "pass"',
+                            '"checked": 0,\n      "status": "empty"')
+    assert out == golden
 
 
 def test_jobs_do_not_change_output(capsys):
