@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -175,12 +176,15 @@ def _verify_algebra(name, lam, max_degree, shard=(0, 1)):
 
 
 def _run_sharded(verifier, params, jobs):
-    """Run ``verifier(*params, shard=...)`` on ``jobs`` worker processes and
-    merge the shard reports, which gives the report of a single run.
+    """Run ``verifier(*params, shard=...)`` on ``jobs`` worker processes,
+    at most one per CPU, and merge the shard reports, which gives the
+    report of a single run whatever the split; a single worker runs in
+    this process.
 
     The verifier is sent to the workers by import path, so it must be a
     module-level function."""
-    if jobs <= 1:
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs == 1:
         return verifier(*params)
     import concurrent.futures
     import multiprocessing
@@ -193,6 +197,7 @@ def _run_sharded(verifier, params, jobs):
 
 def cmd_verify(args):
     degree = _at_least(args.max_degree, 0, "--max-degree")
+    jobs = _at_least(args.jobs, 1, "--jobs")
     meta = {"suite": args.suite, "max_degree": degree}
     # (law name prefix, verifier, its arguments before the shard)
     if args.suite == "hopf":
@@ -207,13 +212,15 @@ def cmd_verify(args):
     elif args.suite == "morphisms":
         runs = [("", morphisms.verify_morphism_laws, (degree,)),
                 ("", morphisms.verify_annihilation, (degree,))]
+    elif args.suite == "surjectivity":
+        runs = [("", morphisms.verify_surjectivity, (degree,))]
     else:
         runs = [("", ppartitions.verify_gamma_identities,
                  (degree, 2 * degree, degree + 1, 2 * (degree + 1)))]
 
     laws = []
     for prefix, verifier, params in runs:
-        for law in _run_sharded(verifier, params, args.jobs):
+        for law in _run_sharded(verifier, params, jobs):
             law.law = prefix + law.law
             laws.append(law)
 
@@ -287,12 +294,12 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
-                   choices=("hopf", "morphisms", "square", "gamma"))
+                   choices=("hopf", "morphisms", "square", "surjectivity", "gamma"))
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--algebra", default=None,
-                   choices=("hsym", "ssym", "rqsym-m"))
+    p.add_argument("--algebra", default=None, choices=ALGEBRAS,
+                   help="one algebra (default: hsym, ssym and rqsym-m)")
     common(p)
     p.set_defaults(fn=cmd_verify)
 

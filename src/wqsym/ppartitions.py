@@ -16,6 +16,7 @@ the identities under test keeps them faithful.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 
@@ -37,9 +38,11 @@ class Poset:
     Labels must be nonzero with pairwise distinct absolute values; the
     cover graph must be acyclic.  Extra non-covering edges are harmless
     for partitions and extensions, so inputs need not be Hasse-reduced.
+    ``order`` is the linear extension that takes the minimal element of
+    smallest absolute value first.
     """
 
-    __slots__ = ("labels", "covers", "_above", "_below")
+    __slots__ = ("labels", "covers", "order", "_above", "_below")
 
     def __init__(self, labels, covers=()):
         labels = tuple(sorted(labels, key=abs))
@@ -67,20 +70,22 @@ class Poset:
         self._check_acyclic()
 
     def _check_acyclic(self):
-        state = {a: 0 for a in self.labels}
-
-        def visit(a):
-            state[a] = 1
+        """Kahn's algorithm: set ``order``, or raise if a cycle leaves some
+        labels never minimal."""
+        indeg = {a: len(self._below[a]) for a in self.labels}
+        ready = [(abs(a), a) for a in self.labels if indeg[a] == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            _, a = heapq.heappop(ready)
+            order.append(a)
             for b in self._above[a]:
-                if state[b] == 1:
-                    raise ValueError("cover relation contains a cycle")
-                if state[b] == 0:
-                    visit(b)
-            state[a] = 2
-
-        for a in self.labels:
-            if state[a] == 0:
-                visit(a)
+                indeg[b] -= 1
+                if indeg[b] == 0:
+                    heapq.heappush(ready, (abs(b), b))
+        if len(order) != len(self.labels):
+            raise ValueError("cover relation contains a cycle")
+        self.order = tuple(order)
 
     def __len__(self):
         return len(self.labels)
@@ -165,42 +170,48 @@ def parse_poset(text):
 
 def enumerate_ppartitions(poset, k):
     """All maps labels -> [k] weakly increasing along covers, strict when
-    the lower label exceeds max(0, upper label)."""
+    the lower label exceeds max(0, upper label).
+
+    An odometer over ``poset.order``: each position counts up from the
+    least value its lower covers allow, and carries into the position
+    before it when it passes k.
+    """
     if k < 1:
         raise ValueError("need at least one value")
-    # topological order: repeatedly take minimal elements
-    order = []
-    indeg = {a: len(poset._below[a]) for a in poset.labels}
-    ready = sorted((a for a in poset.labels if indeg[a] == 0), key=abs)
-    while ready:
-        a = ready.pop(0)
-        order.append(a)
-        for b in poset._above[a]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                ready.append(b)
-        ready.sort(key=abs)
-    out = []
-    assign = {}
+    order = poset.order
+    n = len(order)
+    if not n:
+        return [{}]
+    position = {a: p for p, a in enumerate(order)}
+    # per position: (position of a lower cover, 1 if strict else 0)
+    lower = [[(position[a], int(a > max(0, el))) for a in poset._below[el]]
+             for el in order]
+    values = [0] * n
 
-    def rec(pos):
-        if pos == len(order):
-            out.append(dict(assign))
-            return
-        el = order[pos]
+    def least(p):
         lo = 1
-        for a in poset._below[el]:
-            bound = assign[a]
-            if a > max(0, el):
-                bound += 1
-            if bound > lo:
-                lo = bound
-        for value in range(lo, k + 1):
-            assign[el] = value
-            rec(pos + 1)
-        assign.pop(el, None)
+        for q, strict in lower[p]:
+            if values[q] + strict > lo:
+                lo = values[q] + strict
+        return lo
 
-    rec(0)
+    out = []
+    last = n - 1
+    p = 0
+    values[0] = least(0) - 1
+    while p >= 0:
+        values[p] += 1
+        if values[p] > k:
+            p -= 1
+        elif p < last:
+            p += 1
+            values[p] = least(p) - 1
+        else:
+            # the last position runs through its values in one go
+            for value in range(values[p], k + 1):
+                values[p] = value
+                out.append(dict(zip(order, values)))
+            p -= 1
     return out
 
 

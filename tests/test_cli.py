@@ -1,5 +1,6 @@
 """Command line behaviour: encodings, determinism, exit codes."""
 
+import concurrent.futures
 import json
 import os
 
@@ -117,6 +118,18 @@ def test_gamma_command(tmp_path, capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_gamma_on_deep_and_cyclic_posets(tmp_path, capsys):
+    chain = tmp_path / "chain.poset"
+    chain.write_text("".join(f"{i} < {i + 1}\n" for i in range(1, 3000)))
+    code, out, _ = run(capsys, "gamma", "--poset", str(chain), "--vars", "1",
+                       "--format", "text")
+    assert code == 0 and out.strip() == "1*x1^3000"
+    cycle = tmp_path / "cycle.poset"
+    cycle.write_text("1 < 2\n2 < -3\n-3 < 1\n")
+    code, _, err = run(capsys, "gamma", "--poset", str(cycle), "--vars", "2")
+    assert code == 2 and "cycle" in err
+
+
 def test_parse_errors_exit_two(capsys):
     code, _, err = run(capsys, "product", "--algebra", "hsym", "1,1", "2,-1")
     assert code == 2
@@ -136,6 +149,8 @@ def test_parse_errors_exit_two(capsys):
     assert code == 2 and "--vars" in err
     code, _, err = run(capsys, "expand", "--basis", "f", "--vars", "0", "1")
     assert code == 2 and "--vars" in err
+    code, _, err = run(capsys, "verify", "--suite", "square", "--jobs", "0")
+    assert code == 2 and "--jobs" in err
 
 
 def failing_square(max_len, shard=(0, 1)):
@@ -184,6 +199,32 @@ def test_jobs_do_not_change_output(capsys):
     _, solo, _ = run(capsys, *args, "--jobs", "1")
     _, duo, _ = run(capsys, *args, "--jobs", "2")
     assert solo == duo
+
+
+@pytest.mark.parametrize("flags", [
+    ("--suite", "surjectivity"),
+    ("--suite", "hopf", "--algebra", "rqsym-f", "--lambda", "-1"),
+    ("--suite", "hopf", "--algebra", "qsym", "--lambda", "-1"),
+], ids=["surjectivity", "hopf-rqsym-f", "hopf-qsym"])
+def test_more_suites_pass_for_any_split(capsys, flags):
+    args = ("verify", *flags, "--max-degree", "2")
+    code, solo, _ = run(capsys, *args, "--jobs", "1")
+    assert code == 0 and json.loads(solo)["summary"]["status"] == "pass"
+    code, duo, _ = run(capsys, *args, "--jobs", "2")
+    assert code == 0 and duo == solo
+
+
+def test_jobs_capped_at_cpu_count(capsys, monkeypatch):
+    """With one CPU, --jobs 8 runs in this process and starts no worker."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    args = ("verify", "--suite", "square", "--max-degree", "2")
+    code, capped, _ = run(capsys, *args, "--jobs", "8")
+    assert code == 0
+    assert capped == run(capsys, *args)[1]
 
 
 def test_text_format_rendering(capsys):

@@ -1,13 +1,20 @@
 """The four surjections, the commuting square, and the vanishing laws."""
 
+import importlib
 import itertools
+import os
+import shutil
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import wqsym
 from wqsym.lincomb import LinComb
 from wqsym.compositions import EPS, wcomp
 from wqsym.hopf import f_to_m_cached, report_to_json
 from wqsym.morphisms import (
+    _phi2_of_product,
     d1,
     d2,
     phi1_f,
@@ -18,7 +25,13 @@ from wqsym.morphisms import (
     verify_square,
     verify_surjectivity,
 )
-from wqsym.words import shifted_quasi_shuffle, signed_permutations, standardize
+from wqsym.words import (
+    quasi_shuffle,
+    shift,
+    shifted_quasi_shuffle,
+    signed_permutations,
+    standardize,
+)
 
 
 def test_d1_examples():
@@ -114,3 +127,68 @@ def test_d2_respects_product_on_worked_example():
 
     rhs = rqsym_product_f((1, EPS), (1, EPS)).map_basis(f_to_m_cached)
     assert lhs == rhs
+
+
+# The pruned phi2 of a product against the reference: phi2 applied to
+# every raw word of the weight -1 quasi-shuffle product.
+
+
+def reference_phi2_of_product(s, t):
+    return quasi_shuffle(s, shift(t, len(s)), -1).map_basis(phi2)
+
+
+def small_pairs(max_total):
+    perms = [list(signed_permutations(n)) for n in range(max_total + 1)]
+    for a in range(max_total + 1):
+        for b in range(max_total + 1 - a):
+            yield from itertools.product(perms[a], perms[b])
+
+
+def test_pruned_phi2_of_product_matches_reference_exhaustively():
+    nonzero = 0
+    for s, t in small_pairs(5):
+        want = reference_phi2_of_product(s, t)
+        assert _phi2_of_product(s, t) == want, (s, t)
+        nonzero += bool(want)
+    # the vanishing laws only assert zero, so the sweep must also compare
+    # products that survive
+    assert nonzero >= 100
+
+
+def _signed_perm(n):
+    return st.tuples(st.permutations(range(1, n + 1)),
+                     st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+                     ).map(lambda ps: tuple(a * b for a, b in zip(*ps)))
+
+
+@st.composite
+def _pairs_of_total_6_to_8(draw):
+    total = draw(st.integers(6, 8))
+    left = draw(st.integers(0, total))
+    return draw(_signed_perm(left)), draw(_signed_perm(total - left))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_pairs_of_total_6_to_8())
+def test_pruned_phi2_of_product_matches_reference_sampled(pair):
+    s, t = pair
+    assert _phi2_of_product(s, t) == reference_phi2_of_product(s, t)
+
+
+def test_cross_check_catches_a_wrong_trailing_negative_limit(tmp_path, monkeypatch):
+    """A copy of the package that lets phi2 keep two trailing negatives
+    must fail the exhaustive cross-check."""
+    mutant = tmp_path / "wqsym_mutant"
+    shutil.copytree(os.path.dirname(wqsym.__file__), mutant,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = (mutant / "morphisms.py").read_text()
+    assert source.count("trail < 1") == 1
+    (mutant / "morphisms.py").write_text(source.replace("trail < 1", "trail < 2"))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        mutated = importlib.import_module("wqsym_mutant.morphisms")._phi2_of_product
+        assert any(mutated(s, t) != reference_phi2_of_product(s, t)
+                   for s, t in small_pairs(5))
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "wqsym_mutant"]:
+            del sys.modules[name]

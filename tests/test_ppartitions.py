@@ -79,6 +79,21 @@ def test_fork_partition_constraints():
     assert got == want
 
 
+def test_ppartitions_of_random_posets_against_brute_force():
+    rng = random.Random(11)
+    for _ in range(100):
+        poset = random_poset(rng, 6)
+        for k in (1, 3):
+            got = enumerate_ppartitions(poset, k)
+            want = []
+            for vals in itertools.product(range(1, k + 1), repeat=len(poset.order)):
+                f = dict(zip(poset.order, vals))
+                if all(f[a] < f[b] if a > max(0, b) else f[a] <= f[b]
+                       for a, b in poset.covers):
+                    want.append(f)
+            assert got == want, poset
+
+
 def test_fork_extension_overlap():
     k = 4
     pi, sigma = (-4, 2, -1, -3), (-4, 2, -3, -1)
