@@ -99,32 +99,42 @@ class Poset:
 
     def linear_extensions(self):
         """All linear extensions of the standardized poset, as signed
-        permutations read from smallest to largest."""
+        permutations read from smallest to largest.
+
+        A depth-first walk with an explicit stack: each depth tries its
+        minimal unplaced elements in order of absolute value.
+        """
         st, _ = self.standardize()
-        order = []
-        out = []
+        if not st.labels:
+            return [()]
+        above = st._above
         indeg = {a: len(st._below[a]) for a in st.labels}
-
-        def rec():
-            ready = sorted((a for a in st.labels if indeg[a] == 0 and a not in placed),
-                           key=abs)
-            if not ready:
-                if len(order) == len(st.labels):
-                    out.append(tuple(order))
-                return
-            for a in ready:
-                placed.add(a)
-                order.append(a)
-                for b in st._above[a]:
-                    indeg[b] -= 1
-                rec()
-                for b in st._above[a]:
+        out = []
+        order = []
+        # per depth: its minimal unplaced elements and the next one to try
+        stack = [([a for a in st.labels if not indeg[a]], 0)]
+        while stack:
+            ready, i = stack[-1]
+            if len(order) == len(stack):
+                # take back the element this depth placed last
+                for b in above[order.pop()]:
                     indeg[b] += 1
-                order.pop()
-                placed.discard(a)
-
-        placed = set()
-        rec()
+            if i == len(ready):
+                stack.pop()
+                continue
+            a = ready[i]
+            stack[-1] = (ready, i + 1)
+            order.append(a)
+            freed = []
+            for b in above[a]:
+                indeg[b] -= 1
+                if not indeg[b]:
+                    freed.append(b)
+            nxt = sorted(ready[:i] + ready[i + 1:] + freed, key=abs)
+            if nxt:
+                stack.append((nxt, 0))
+            else:
+                out.append(tuple(order))
         return out
 
     def disjoint_union(self, other):
@@ -234,22 +244,26 @@ class Series:
         self.terms = {e: c for e, c in acc.items() if c}
 
     @classmethod
+    def wrap(cls, k, clean_terms):
+        """Adopt a dict that is already free of zero coefficients."""
+        obj = object.__new__(cls)
+        obj.k = k
+        obj.terms = clean_terms
+        return obj
+
+    @classmethod
     def zero(cls, k):
-        return cls(k)
+        return cls.wrap(k, {})
 
     @classmethod
     def one(cls, k):
-        return cls(k, {(0,) * k: 1})
+        return cls.wrap(k, {(0,) * k: 1})
 
     @classmethod
     def monomial(cls, k, assignment):
         """Product of x_{value}^{1 or e} over (sign, value) pairs: value
         in [k], exponent e when the carried label is negative."""
-        exps = [0] * k
-        for label, value in assignment:
-            exp = 1 if label > 0 else EPS
-            exps[value - 1] = ntilde_add(exps[value - 1], exp)
-        return cls(k, {tuple(exps): 1})
+        return cls.wrap(k, {_exponents(k, assignment): 1})
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -271,15 +285,23 @@ class Series:
                 out[e] = cc
             elif e in out:
                 del out[e]
-        return Series(self.k, out)
+        return Series.wrap(self.k, out)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        assert self.k == other.k
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            cc = out.get(e, 0) - c
+            if cc:
+                out[e] = cc
+            elif e in out:
+                del out[e]
+        return Series.wrap(self.k, out)
 
     def scale(self, scalar):
         if not scalar:
-            return Series(self.k)
-        return Series(self.k, {e: c * scalar for e, c in self.terms.items()})
+            return Series.wrap(self.k, {})
+        return Series.wrap(self.k, {e: c * scalar for e, c in self.terms.items()})
 
     __rmul__ = scale
 
@@ -296,7 +318,7 @@ class Series:
                     out[merged] = cc
                 elif merged in out:
                     del out[merged]
-        return Series(self.k, out)
+        return Series.wrap(self.k, out)
 
     def restrict(self, k2):
         """Drop every term that uses a variable above x_{k2}."""
@@ -305,7 +327,7 @@ class Series:
         for e, c in self.terms.items():
             if all(x == 0 for x in e[k2:]):
                 out[e[:k2]] = c
-        return Series(k2, out)
+        return Series.wrap(k2, out)
 
     def items(self):
         return sorted(
@@ -350,13 +372,23 @@ class Series:
         return f"Series(k={self.k}, {self.to_text()})"
 
 
+def _exponents(k, assignment):
+    """Exponent tuple of the product of x_{value}^{1 or e} over (label,
+    value) pairs: exponent e when the label is negative."""
+    exps = [0] * k
+    for label, value in assignment:
+        exps[value - 1] = ntilde_add(exps[value - 1], 1 if label > 0 else EPS)
+    return tuple(exps)
+
+
 def gamma(poset, k):
     """Generating function of signed P-partitions, truncated to k
     variables."""
-    out = Series.zero(k)
+    out = {}
     for f in enumerate_ppartitions(poset, k):
-        out = out + Series.monomial(k, f.items())
-    return out
+        exps = _exponents(k, f.items())
+        out[exps] = out.get(exps, 0) + 1
+    return Series.wrap(k, out)
 
 
 def gamma_word(word, k):
@@ -365,10 +397,15 @@ def gamma_word(word, k):
 
 def gamma_combo(lc, k):
     """Linear extension of gamma to combinations of signed permutations."""
-    out = Series.zero(k)
+    out = {}
     for word, coeff in lc.terms.items():
-        out = out + gamma_word(word, k).scale(coeff)
-    return out
+        for e, c in gamma_word(word, k).terms.items():
+            cc = out.get(e, 0) + coeff * c
+            if cc:
+                out[e] = cc
+            elif e in out:
+                del out[e]
+    return Series.wrap(k, out)
 
 
 def expand_m(alpha, k):
@@ -382,7 +419,7 @@ def expand_m(alpha, k):
             exps[v] = part
         key = tuple(exps)
         out[key] = out.get(key, 0) + 1
-    return Series(k, out)
+    return Series.wrap(k, out)
 
 
 def expand_f(alpha, k):
@@ -392,7 +429,9 @@ def expand_f(alpha, k):
     Sums over weakly increasing tuples j_1 <= ... <= j_n, n the total
     weight, with strict steps exactly at the descent set; position t
     contributes exponent e inside an epsilon run and 1 inside a positive
-    part.
+    part.  The tuples are run through by an odometer that counts each
+    position up from the least value the one before it allows; a placed
+    position keeps the exponent it overwrote, to put back when it moves.
     """
     runs, parts = eps_runs(alpha)
     pattern = []
@@ -401,24 +440,45 @@ def expand_f(alpha, k):
         pattern.extend([1] * s)
     pattern.extend([EPS] * runs[-1])
     n = len(pattern)
+    if not n:
+        return Series.one(k)
     strict = descent_set(alpha)
+    # per position: 1 if its value must exceed the one before it
+    step = [int(t in strict) for t in range(n)]
     out = {}
     exps = [0] * k
-
-    def rec(t, j):
-        if t == n:
-            key = tuple(exps)
-            out[key] = out.get(key, 0) + 1
-            return
-        lo = j + 1 if (t > 0 and t in strict) else max(j, 1)
-        for value in range(lo, k + 1):
-            old = exps[value - 1]
-            exps[value - 1] = ntilde_add(old, pattern[t])
-            rec(t + 1, value)
+    values = [0] * n
+    saved = [None] * n  # the exponent a placed position overwrote
+    last = n - 1
+    t = 0
+    while t >= 0:
+        if t == last:
+            # the last position runs through its values in one go
+            exp = pattern[t]
+            for value in range(values[t - 1] + step[t] if t else 1, k + 1):
+                old = exps[value - 1]
+                exps[value - 1] = ntilde_add(old, exp)
+                key = tuple(exps)
+                out[key] = out.get(key, 0) + 1
+                exps[value - 1] = old
+            t -= 1
+            continue
+        old = saved[t]
+        if old is None:
+            value = values[t - 1] + step[t] if t else 1
+        else:
+            value = values[t]
             exps[value - 1] = old
-
-    rec(0, 0)
-    return Series(k, out)
+            value += 1
+        if value > k:
+            saved[t] = None
+            t -= 1
+            continue
+        values[t] = value
+        saved[t] = exps[value - 1]
+        exps[value - 1] = ntilde_add(saved[t], pattern[t])
+        t += 1
+    return Series.wrap(k, out)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,13 @@ def test_expand_command(capsys):
     assert blob == {"k": 2, "terms": [{"coeff": "1", "exps": ["1", "e"]}]}
 
 
+def test_expand_f_of_a_long_composition(capsys):
+    code, out, err = run(capsys, "expand", "--basis", "f", "--vars", "1", "3000",
+                         "--format", "text")
+    assert code == 0 and out.strip() == "1*x1^3000"
+    assert "Traceback" not in err
+
+
 def test_gamma_command(tmp_path, capsys):
     poset = tmp_path / "fork.poset"
     poset.write_text("-4 < 2\n2 < -1\n2 < -3\n")

@@ -2,10 +2,19 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from wqsym.compositions import EPS, refinement_terms, wcomp
+from wqsym.compositions import (
+    EPS,
+    descent_set,
+    eps_runs,
+    ntilde_add,
+    refinement_terms,
+    regularized_compositions,
+    wcomp,
+)
 from wqsym.hopf import report_to_json
 from wqsym.ppartitions import (
     Poset,
@@ -21,7 +30,81 @@ from wqsym.ppartitions import (
     random_poset,
     verify_gamma_identities,
 )
+from wqsym.lincomb import LinComb
 from wqsym.words import shifted_quasi_shuffle, signed_permutations
+
+
+# reference implementations: the plain versions the library's fast paths
+# are checked against
+
+
+def gamma_reference(poset, k):
+    """Gamma as the sum of one monomial per P-partition."""
+    out = Series.zero(k)
+    for f in enumerate_ppartitions(poset, k):
+        out = out + Series.monomial(k, f.items())
+    return out
+
+
+def expand_f_reference(alpha, k):
+    """F_alpha by recursion over the positions of the weakly increasing
+    tuples."""
+    runs, parts = eps_runs(alpha)
+    pattern = []
+    for q, s in enumerate(parts):
+        pattern.extend([EPS] * runs[q])
+        pattern.extend([1] * s)
+    pattern.extend([EPS] * runs[-1])
+    n = len(pattern)
+    strict = descent_set(alpha)
+    out = {}
+    exps = [0] * k
+
+    def rec(t, j):
+        if t == n:
+            key = tuple(exps)
+            out[key] = out.get(key, 0) + 1
+            return
+        lo = j + 1 if (t > 0 and t in strict) else max(j, 1)
+        for value in range(lo, k + 1):
+            old = exps[value - 1]
+            exps[value - 1] = ntilde_add(old, pattern[t])
+            rec(t + 1, value)
+            exps[value - 1] = old
+
+    rec(0, 0)
+    return Series(k, out)
+
+
+def linear_extensions_reference(poset):
+    """Linear extensions by recursion, trying the minimal elements in order
+    of absolute value."""
+    st, _ = poset.standardize()
+    order = []
+    out = []
+    indeg = {a: len(st._below[a]) for a in st.labels}
+    placed = set()
+
+    def rec():
+        ready = sorted((a for a in st.labels if indeg[a] == 0 and a not in placed),
+                       key=abs)
+        if not ready:
+            if len(order) == len(st.labels):
+                out.append(tuple(order))
+            return
+        for a in ready:
+            placed.add(a)
+            order.append(a)
+            for b in st._above[a]:
+                indeg[b] -= 1
+            rec()
+            for b in st._above[a]:
+                indeg[b] += 1
+            order.pop()
+            placed.discard(a)
+
+    rec()
+    return out
 
 
 # stem below a fork: -4 < 2 with 2 < -1 and 2 < -3
@@ -114,6 +197,59 @@ def test_fork_extension_overlap():
     assert a_pi & a_sigma == overlap
 
 
+def test_linear_extensions_match_the_recursive_reference():
+    rng = random.Random(5)
+    posets = [Poset([]), FORK] + [random_poset(rng, 6) for _ in range(150)]
+    for poset in posets:
+        assert poset.linear_extensions() == linear_extensions_reference(poset), poset
+
+
+def test_linear_extensions_of_a_deep_chain():
+    chain = chain_poset(tuple(range(1, 3001)))
+    assert chain.linear_extensions() == [tuple(range(1, 3001))]
+
+
+def test_gamma_matches_the_monomial_sum():
+    rng = random.Random(3)
+    posets = [Poset([]), FORK] + [random_poset(rng, 5) for _ in range(120)]
+    for poset in posets:
+        for k in range(1, 6):
+            got = gamma(poset, k)
+            assert got == gamma_reference(poset, k), (poset, k)
+            assert all(got.terms.values())
+
+
+def test_gamma_combo_matches_scaled_gamma_words():
+    k = 5
+    rng = random.Random(9)
+    words = [pi for n in range(4) for pi in signed_permutations(n)]
+    for _ in range(60):
+        lc = LinComb((rng.choice(words), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                     for _ in range(rng.randint(0, 4)))
+        want = Series.zero(k)
+        for word, coeff in lc.terms.items():
+            want = want + gamma_word(word, k).scale(coeff)
+        got = gamma_combo(lc, k)
+        assert got == want, lc
+        assert all(got.terms.values())
+
+
+def test_gamma_combo_cancels_to_zero():
+    # two permutations with one weak composition: their Gammas cancel
+    sigma, tau = (1, -3, 2), (3, -2, 1)
+    assert wcomp(sigma) == wcomp(tau) and sigma != tau
+    got = gamma_combo(LinComb({sigma: Fraction(1), tau: Fraction(-1)}), 4)
+    assert got == Series.zero(4)
+    assert got.terms == {}
+
+
+def test_expand_f_matches_the_recursive_reference():
+    for w in range(7):
+        for alpha in regularized_compositions(w):
+            for k in range(7):
+                assert expand_f(alpha, k) == expand_f_reference(alpha, k), (alpha, k)
+
+
 def test_gamma_of_the_fork():
     for k in (4, 5):
         lhs = gamma(FORK, k)
@@ -160,8 +296,6 @@ def test_expand_f_example():
 
 
 def test_expand_f_equals_weighted_expand_m():
-    from wqsym.compositions import regularized_compositions
-
     for w in range(5):
         for alpha in regularized_compositions(w):
             lhs = expand_f(alpha, 6)
