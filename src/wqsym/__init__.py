@@ -8,7 +8,6 @@ from .words import (
     shifted_quasi_shuffle,
     shifted_shuffle,
     standardize,
-    stuffle,
     weak_descent_set,
 )
 from .compositions import EPS, regularize, star_product, wcomp
@@ -31,7 +30,6 @@ __all__ = [
     "tensor_bilinear",
     "tensor_bimap",
     "quasi_shuffle",
-    "stuffle",
     "shifted_quasi_shuffle",
     "shifted_shuffle",
     "standardize",

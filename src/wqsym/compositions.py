@@ -22,8 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .lincomb import LinComb
-from .words import standardize, weak_descent_set
+from .words import quasi_shuffle, standardize, weak_descent_set
 
 
 class _Eps:
@@ -253,33 +252,7 @@ def star_product(alpha, beta):
 
     with monoid addition in the merge term and the empty composition as
     unit."""
-    out = {}
-    prefix = []
-    push = prefix.append
-    pop = prefix.pop
-    na, nb = len(alpha), len(beta)
-
-    def rec(i, j):
-        if i == na:
-            w = tuple(prefix) + beta[j:]
-            out[w] = out.get(w, 0) + 1
-            return
-        if j == nb:
-            w = tuple(prefix) + alpha[i:]
-            out[w] = out.get(w, 0) + 1
-            return
-        push(alpha[i])
-        rec(i + 1, j)
-        pop()
-        push(beta[j])
-        rec(i, j + 1)
-        pop()
-        push(ntilde_add(alpha[i], beta[j]))
-        rec(i + 1, j + 1)
-        pop()
-
-    rec(0, 0)
-    return LinComb.wrap(out)
+    return quasi_shuffle(alpha, beta, 1, ntilde_add)
 
 
 def wcomp(pi):

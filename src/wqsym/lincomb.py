@@ -9,7 +9,10 @@ pairs of keys.  Coefficients stay plain ``int`` while they can and become
 freely and compare equal where they should.
 
 No stored coefficient is ever zero, so equality of combinations is plain
-equality of the underlying term dicts.
+equality of the underlying term dicts.  Every sum of terms goes through
+one accumulator, ``accumulate``, which adds scaled terms into a dict and
+drops a key the moment its coefficient sums to zero; products build
+their dict with it and adopt the result with ``LinComb.wrap``.
 """
 from __future__ import annotations
 
@@ -31,8 +34,23 @@ def basis_sort_key(key):
     if isinstance(key, tuple):
         if key and isinstance(key[0], tuple):
             return tuple(basis_sort_key(k) for k in key)
-        return (len(key), tuple(elem_key(x) for x in key))
+        # flat, so that comparing two keys walks their entries only once
+        return (len(key), *map(elem_key, key))
     return key
+
+
+def accumulate(acc, terms, scalar=1):
+    """Add scalar * c into ``acc`` for every (key, c) of ``terms``, deleting
+    a key as soon as its coefficient sums to zero, so that ``acc`` stays
+    zero-free; return ``acc``."""
+    unit = scalar == 1  # multiplying by 1 is not free once coefficients are Fractions
+    for key, coeff in terms:
+        c = acc.get(key, 0) + (coeff if unit else scalar * coeff)
+        if c:
+            acc[key] = c
+        elif key in acc:
+            del acc[key]
+    return acc
 
 
 class LinComb:
@@ -45,11 +63,7 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        acc = {}
-        for key, coeff in items:
-            acc[key] = acc.get(key, 0) + coeff
-        self.terms = {k: c for k, c in acc.items() if c}
+        self.terms = accumulate({}, terms.items() if isinstance(terms, dict) else terms)
 
     @classmethod
     def wrap(cls, clean_terms):
@@ -65,6 +79,12 @@ class LinComb:
     @classmethod
     def single(cls, key, coeff=1):
         return cls.wrap({key: coeff}) if coeff else cls.wrap({})
+
+    def _like(self, clean_terms, other=None):
+        """A combination of this one's kind over a zero-free dict.  ``other``
+        is the second operand of a sum or difference, for a subclass to
+        check that it is of the same kind."""
+        return LinComb.wrap(clean_terms)
 
     def items(self):
         """Terms in the canonical key order."""
@@ -88,32 +108,18 @@ class LinComb:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            c = out.get(key, 0) + coeff
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-        return LinComb.wrap(out)
+        return self._like(accumulate(dict(self.terms), other.terms.items()), other)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            c = out.get(key, 0) - coeff
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-        return LinComb.wrap(out)
+        return self._like(accumulate(dict(self.terms), other.terms.items(), -1), other)
 
     def __neg__(self):
-        return LinComb.wrap({k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def scale(self, scalar):
         if not scalar:
-            return LinComb.wrap({})
-        return LinComb.wrap({k: c * scalar for k, c in self.terms.items()})
+            return self._like({})
+        return self._like({k: c * scalar for k, c in self.terms.items()})
 
     __mul__ = scale
     __rmul__ = scale
@@ -122,12 +128,7 @@ class LinComb:
         """Linear extension of a basis map f: key -> LinComb."""
         out = {}
         for key, coeff in self.terms.items():
-            for k2, c2 in f(key).terms.items():
-                c = out.get(k2, 0) + coeff * c2
-                if c:
-                    out[k2] = c
-                elif k2 in out:
-                    del out[k2]
+            accumulate(out, f(key).terms.items(), coeff)
         return LinComb.wrap(out)
 
     def __repr__(self):
@@ -142,13 +143,7 @@ def lc_mul(a, b, mult):
     out = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
-            scalar = ca * cb
-            for k, c in mult(ka, kb).terms.items():
-                cc = out.get(k, 0) + scalar * c
-                if cc:
-                    out[k] = cc
-                elif k in out:
-                    del out[k]
+            accumulate(out, mult(ka, kb).terms.items(), ca * cb)
     return LinComb.wrap(out)
 
 
@@ -166,17 +161,7 @@ def tensor_bilinear(a, b, mult):
     out = {}
     for (xa, ya), ca in a.terms.items():
         for (xb, yb), cb in b.terms.items():
-            scalar = ca * cb
-            left = mult(xa, xb)
-            right = mult(ya, yb)
-            for kl, cl in left.terms.items():
-                for kr, cr in right.terms.items():
-                    key = (kl, kr)
-                    c = out.get(key, 0) + scalar * cl * cr
-                    if c:
-                        out[key] = c
-                    elif key in out:
-                        del out[key]
+            accumulate(out, tensor(mult(xa, xb), mult(ya, yb)).terms.items(), ca * cb)
     return LinComb.wrap(out)
 
 

@@ -20,7 +20,7 @@ import heapq
 import itertools
 import random
 
-from .lincomb import elem_key, format_coeff, parse_coeff
+from .lincomb import LinComb, accumulate, format_coeff, parse_coeff
 from .compositions import EPS, descent_set, eps_runs, ntilde_add, wcomp
 from .laws import Law, graded_tuples, run_laws
 from .words import (
@@ -186,8 +186,8 @@ def enumerate_ppartitions(poset, k):
     least value its lower covers allow, and carries into the position
     before it when it passes k.
     """
-    if k < 1:
-        raise ValueError("need at least one value")
+    if k < 0:
+        raise ValueError("need a nonnegative number of values")
     order = poset.order
     n = len(order)
     if not n:
@@ -225,23 +225,20 @@ def enumerate_ppartitions(poset, k):
     return out
 
 
-class Series:
+class Series(LinComb):
     """Polynomial in x_1..x_k with exponents in {0, e, 1, 2, ...}.
 
-    Terms map exponent tuples (length k) to rational coefficients;
-    multiplication adds exponents in the monoid, so x^e * x^e = x^e and
-    x^e * x^n = x^n.
+    A combination of exponent tuples (length k) with rational
+    coefficients; multiplication adds exponents in the monoid, so
+    x^e * x^e = x^e and x^e * x^n = x^n.  Series with different k never
+    meet in a sum or product, and never compare equal.
     """
 
-    __slots__ = ("k", "terms")
+    __slots__ = ("k",)
 
     def __init__(self, k, terms=()):
         self.k = k
-        items = terms.items() if isinstance(terms, dict) else terms
-        acc = {}
-        for exps, coeff in items:
-            acc[exps] = acc.get(exps, 0) + coeff
-        self.terms = {e: c for e, c in acc.items() if c}
+        super().__init__(terms)
 
     @classmethod
     def wrap(cls, k, clean_terms):
@@ -250,6 +247,10 @@ class Series:
         obj.k = k
         obj.terms = clean_terms
         return obj
+
+    def _like(self, clean_terms, other=None):
+        assert other is None or self.k == other.k
+        return Series.wrap(self.k, clean_terms)
 
     @classmethod
     def zero(cls, k):
@@ -266,44 +267,10 @@ class Series:
         return cls.wrap(k, {_exponents(k, assignment): 1})
 
     def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.k == other.k and self.terms == other.terms
+        return isinstance(other, Series) and self.k == other.k and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.k, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        assert self.k == other.k
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cc = out.get(e, 0) + c
-            if cc:
-                out[e] = cc
-            elif e in out:
-                del out[e]
-        return Series.wrap(self.k, out)
-
-    def __sub__(self, other):
-        assert self.k == other.k
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cc = out.get(e, 0) - c
-            if cc:
-                out[e] = cc
-            elif e in out:
-                del out[e]
-        return Series.wrap(self.k, out)
-
-    def scale(self, scalar):
-        if not scalar:
-            return Series.wrap(self.k, {})
-        return Series.wrap(self.k, {e: c * scalar for e, c in self.terms.items()})
-
-    __rmul__ = scale
 
     def __mul__(self, other):
         if not isinstance(other, Series):
@@ -311,13 +278,8 @@ class Series:
         assert self.k == other.k
         out = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                merged = tuple(ntilde_add(a, b) for a, b in zip(e1, e2))
-                cc = out.get(merged, 0) + c1 * c2
-                if cc:
-                    out[merged] = cc
-                elif merged in out:
-                    del out[merged]
+            accumulate(out, ((tuple(map(ntilde_add, e1, e2)), c2)
+                             for e2, c2 in other.terms.items()), c1)
         return Series.wrap(self.k, out)
 
     def restrict(self, k2):
@@ -328,11 +290,6 @@ class Series:
             if all(x == 0 for x in e[k2:]):
                 out[e[:k2]] = c
         return Series.wrap(k2, out)
-
-    def items(self):
-        return sorted(
-            self.terms.items(), key=lambda ec: tuple(elem_key(x) for x in ec[0])
-        )
 
     def to_json(self):
         return {
@@ -399,12 +356,7 @@ def gamma_combo(lc, k):
     """Linear extension of gamma to combinations of signed permutations."""
     out = {}
     for word, coeff in lc.terms.items():
-        for e, c in gamma_word(word, k).terms.items():
-            cc = out.get(e, 0) + coeff * c
-            if cc:
-                out[e] = cc
-            elif e in out:
-                del out[e]
+        accumulate(out, gamma_word(word, k).terms.items(), coeff)
     return Series.wrap(k, out)
 
 

@@ -50,14 +50,13 @@ from wqsym.ppartitions import (
     gamma,
     verify_gamma_identities,
 )
+from oracles import multinomial_collapse, stuffle
 from wqsym.words import (
-    multinomial_collapse,
     quasi_shuffle,
     shifted_quasi_shuffle,
     shifted_shuffle,
     signed_permutations,
     standardize,
-    stuffle,
 )
 
 import pytest

@@ -137,6 +137,17 @@ def test_gamma_on_deep_and_cyclic_posets(tmp_path, capsys):
     assert code == 2 and "cycle" in err
 
 
+def test_gamma_suite_at_degree_zero(capsys):
+    """Degree 0 asks for Gamma at zero variables, where only the empty
+    poset has a P-partition."""
+    code, out, _ = run(capsys, "verify", "--suite", "gamma", "--max-degree", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["summary"] == {"suite": "gamma", "max_degree": 0, "total": 106,
+                                 "failed": 0, "status": "pass"}
+    assert all(check["status"] == "pass" for check in report["checks"])
+
+
 def test_parse_errors_exit_two(capsys):
     code, _, err = run(capsys, "product", "--algebra", "hsym", "1,1", "2,-1")
     assert code == 2

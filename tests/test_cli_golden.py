@@ -1,0 +1,92 @@
+"""Byte-for-byte output of every CLI command other than ``verify``.
+
+Each case runs in both output formats and is compared with the file
+``tests/golden/cli/<case>.<json|txt>``.  The files were written by this
+module's ``capture`` before the ``Series``/``LinComb`` fold, so they pin
+the output of that code.  To record a new file after a deliberate change
+of output, run ``PYTHONPATH=src python tests/test_cli_golden.py`` and
+check that the diff shows only the intended change.
+"""
+
+import contextlib
+import io
+import os
+import sys
+
+import pytest
+
+from wqsym.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden", "cli")
+POSETS = os.path.join(HERE, "golden", "posets")
+
+CASES = {}
+for name, lam, a, b in [
+    ("hsym-lam-1", "-1", "1,-2", "2,-1"),
+    ("hsym-lam0", "0", "-1,2", "-2,1"),
+    ("hsym-lam2over3", "2/3", "-1,-2", "-1,2"),
+    ("ssym", "-1", "2,1", "1,2"),
+    ("rqsym-m", "-1", "1,e", "e,2"),
+    ("rqsym-f", "-1", "1,e", "e,2"),
+    ("qsym", "-1", "2,1", "1,1"),
+]:
+    algebra = name.split("-lam")[0]
+    CASES[f"product-{name}"] = ("product", "--algebra", algebra, "--lambda", lam, a, b)
+for name, lam, x in [
+    ("hsym-lam-1", "-1", "-2,-1,-3"),
+    ("hsym-lam0", "0", "-2,-1,-3"),
+    ("hsym-lam2over3", "2/3", "-2,-1,-3"),
+    ("ssym", "-1", "3,1,2"),
+    ("rqsym-m", "-1", "e,2,e"),
+    ("rqsym-f", "-1", "e,2,e"),
+    ("qsym", "-1", "1,2,1"),
+]:
+    algebra = name.split("-lam")[0]
+    CASES[f"antipode-{name}"] = ("antipode", "--algebra", algebra, "--lambda", lam, x)
+for algebra, x in [("hsym", "-2,3,-1"), ("ssym", "3,1,2"), ("rqsym-m", "e,2,e"),
+                   ("rqsym-f", "1,e,1"), ("qsym", "2,1,1")]:
+    CASES[f"coproduct-{algebra}"] = ("coproduct", "--algebra", algebra, x)
+CASES["convert-f-to-m"] = ("convert", "--from", "f", "--to", "m", "e,1,e,2")
+CASES["convert-m-to-f"] = ("convert", "--from", "m", "--to", "f", "e,1,e,2")
+for which, x in [("d1", "3,1,4,2"), ("d2", "-3,1,-4,2"), ("phi1M", "1,e"),
+                 ("phi1F", "e,2,1"), ("phi2", "-3,1,2,-4")]:
+    CASES[f"map-{which}"] = ("map", "--which", which, x)
+CASES["expand-m"] = ("expand", "--basis", "m", "--vars", "4", "e,2,e")
+CASES["expand-f"] = ("expand", "--basis", "f", "--vars", "3", "e,1,1,e")
+for poset, k in [("fork", "3"), ("chain", "4"), ("antichain", "2"), ("zero", "2")]:
+    CASES[f"gamma-{poset}"] = ("gamma", "--poset", os.path.join(POSETS, f"{poset}.poset"),
+                               "--vars", k)
+
+FORMATS = {"json": "json", "text": "txt"}
+
+
+def run_case(argv, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--format", fmt])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_matches_golden(case, fmt):
+    code, out = run_case(CASES[case], fmt)
+    assert code == 0
+    with open(os.path.join(GOLDEN, f"{case}.{FORMATS[fmt]}")) as fh:
+        assert out == fh.read()
+
+
+def capture():
+    os.makedirs(GOLDEN, exist_ok=True)
+    for case, argv in sorted(CASES.items()):
+        for fmt, ext in FORMATS.items():
+            code, out = run_case(argv, fmt)
+            if code:
+                sys.exit(f"{case} --format {fmt} exited {code}")
+            with open(os.path.join(GOLDEN, f"{case}.{ext}"), "w") as fh:
+                fh.write(out)
+
+
+if __name__ == "__main__":
+    capture()

@@ -32,6 +32,7 @@ from wqsym.compositions import (
     weight,
 )
 from wqsym.words import signed_permutations, standardize, weak_descent_set
+from oracles import stuffle
 
 
 def test_monoid_addition_table():
@@ -204,6 +205,19 @@ def test_star_product_examples():
     alpha = (2, EPS, 1)
     assert star_product((), alpha) == LinComb.single(alpha)
     assert star_product(alpha, ()) == LinComb.single(alpha)
+
+
+def test_star_product_matches_the_stuffle_oracle():
+    """star_product is the word recursion with monoid addition as the
+    bullet; the stuffle form of the same product is its reference."""
+    keys = [a for w in range(7) for a in regularized_compositions(w)]
+    pairs = 0
+    for a in keys:
+        for b in keys:
+            if total_weight(a) + total_weight(b) <= 6:
+                assert star_product(a, b) == stuffle(a, b, 1, ntilde_add), (a, b)
+                pairs += 1
+    assert pairs == 1985
 
 
 def test_star_product_associative_and_graded():

@@ -106,6 +106,35 @@ def test_no_stored_zeros(a, b, r):
         assert all(c != 0 for c in lc.terms.values())
 
 
+def _fold(key):
+    return tuple(abs(x) for x in key)
+
+
+@settings(max_examples=80, deadline=None)
+@given(combos, combos)
+def test_cancelling_terms_store_no_zero(a, b):
+    """null = a - (a with every letter negated) vanishes once keys are
+    folded to absolute values, so every map and product through the fold
+    cancels exactly; each result must be the plain zero or equal the
+    result without null, with no key left at coefficient 0."""
+    null = a - LinComb((tuple(-x for x in k), c) for k, c in a.terms.items())
+    fold = lambda k: LinComb.single(_fold(k))
+    mult = lambda x, y: LinComb.single(_fold(x) + _fold(y))
+    pairs = tensor(b, b)
+    results = [
+        (null.map_basis(fold), LinComb.zero()),
+        ((null + b).map_basis(fold), b.map_basis(fold)),
+        (lc_mul(null, b, mult), LinComb.zero()),
+        (lc_mul(null + b, b, mult), lc_mul(b, b, mult)),
+        (tensor_bilinear(tensor(null, b), pairs, mult), LinComb.zero()),
+        (tensor_bilinear(tensor(b, null + b), pairs, mult),
+         tensor_bilinear(tensor(b, b), pairs, mult)),
+    ]
+    for got, want in results:
+        assert got == want
+        assert all(c != 0 for c in got.terms.values())
+
+
 def test_items_in_canonical_order():
     lc = LinComb({(2, 1): 1, (1,): 1, (1, 2): 1, (): 1})
     assert [k for k, _ in lc.items()] == [(), (1,), (1, 2), (2, 1)]

@@ -264,6 +264,15 @@ def test_gamma_chain_small_truncation():
 
 def test_gamma_of_empty_poset():
     assert gamma(Poset([]), 3) == Series.one(3)
+    assert gamma(Poset([]), 0) == expand_f((), 0) == Series.one(0)
+
+
+def test_no_values_allow_only_the_empty_poset():
+    assert enumerate_ppartitions(Poset([]), 0) == [{}]
+    assert enumerate_ppartitions(FORK, 0) == []
+    assert gamma(FORK, 0) == Series.zero(0)
+    with pytest.raises(ValueError):
+        enumerate_ppartitions(Poset([]), -1)
 
 
 def test_gamma_is_standardization_invariant():
@@ -335,6 +344,44 @@ def test_series_monoid_exponent_rules():
     assert a * b == b * a
     c = Series(2, {(0, 1): 1})
     assert (a * b) * c == a * (b * c)
+
+
+def test_series_arithmetic_keeps_the_kind():
+    a = Series(3, {(1, 0, EPS): 2, (0, 0, 0): Fraction(1, 2)})
+    b = Series(3, {(1, 0, EPS): -2, (0, 2, 0): 1})
+    for got in (a + b, a - b, a.scale(3), 3 * a, a.scale(0), -a, a * b, a * 2):
+        assert type(got) is Series and got.k == 3
+    assert (a + b).terms == {(0, 0, 0): Fraction(1, 2), (0, 2, 0): 1}
+    assert a - a == Series.zero(3) and (a - a).terms == {}
+    assert -a == a.scale(-1)
+
+
+def test_series_equality_includes_k_and_the_kind():
+    assert Series.zero(3) == Series.zero(3)
+    assert Series.zero(3) != Series.zero(4)
+    assert Series.one(2) != Series.one(3)
+    assert LinComb.zero() != Series.zero(3)
+    assert Series.zero(3) != LinComb.zero()
+    assert Series.one(1) != LinComb.single((0,))
+    assert LinComb.single((0,)) != Series.one(1)
+
+
+def test_series_of_different_k_do_not_mix():
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(AssertionError):
+            op(Series.one(2), Series.one(3))
+
+
+def test_equal_series_hash_equal():
+    a = Series(2, [((1, EPS), 1), ((0, 1), 2), ((1, EPS), 1)])
+    b = Series.wrap(2, {(0, 1): 2, (1, EPS): 2})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Series.zero(2), Series.zero(3)}) == 3
+
+
+def test_series_text_keeps_the_plus_sign_of_negative_terms():
+    s = Series(2, {(1, 0): 1, (0, EPS): -1, (0, 0): Fraction(-2, 3)})
+    assert s.to_text() == "-2/3*1 + -1*x2^e + 1*x1"
 
 
 def test_series_truncation_consistency():

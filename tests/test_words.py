@@ -7,22 +7,24 @@ from math import comb
 import pytest
 
 from wqsym.lincomb import LinComb
-from wqsym.words import (
+from oracles import (
     descent_set,
-    is_signed_permutation,
     min_bullet,
     multinomial_collapse,
+    right_quasi_shuffle_step,
+    stuffle,
+    stuffle_patterns,
+)
+from wqsym.words import (
+    is_signed_permutation,
     perm_to_text,
     quasi_shuffle,
-    right_quasi_shuffle_step,
     shift,
     shifted_quasi_shuffle,
     shifted_shuffle,
     sign_bullet,
     signed_permutations,
     standardize,
-    stuffle,
-    stuffle_patterns,
     text_to_perm,
     weak_descent_set,
 )
