@@ -11,15 +11,7 @@ from .words import (
     weak_descent_set,
 )
 from .compositions import EPS, regularize, star_product, wcomp
-from .hopf import (
-    f_to_m,
-    hsym_context,
-    m_to_f,
-    qsym_m_context,
-    rqsym_m_context,
-    ssym_context,
-    verify_hopf,
-)
+from .hopf import context_by_name, f_to_m, m_to_f, verify_hopf
 from .morphisms import d1, d2, phi1_f, phi1_m, phi2, verify_square
 from .ppartitions import Poset, Series, expand_f, expand_m, gamma
 
@@ -40,10 +32,7 @@ __all__ = [
     "wcomp",
     "f_to_m",
     "m_to_f",
-    "hsym_context",
-    "ssym_context",
-    "rqsym_m_context",
-    "qsym_m_context",
+    "context_by_name",
     "verify_hopf",
     "d1",
     "d2",

@@ -21,59 +21,29 @@ from fractions import Fraction
 from .laws import merge_reports, report_to_json
 from .lincomb import lincomb_to_json, lincomb_to_text
 from . import hopf, morphisms, ppartitions
-from .compositions import comp_to_text, text_to_comp
-from .words import is_signed_permutation, perm_to_text, text_to_perm
 
 
 class CLIError(Exception):
     pass
 
 
-ALGEBRAS = ("hsym", "ssym", "rqsym-m", "rqsym-f", "qsym")
-PERM_ALGEBRAS = {"hsym", "ssym"}
-BASIS_LETTER = {"hsym": "P", "ssym": "P", "rqsym-m": "M", "qsym": "M", "rqsym-f": "F"}
-
-
-def _parse_key(algebra, text):
-    if algebra in PERM_ALGEBRAS:
-        key = text_to_perm(text)
-        if not is_signed_permutation(key):
-            raise CLIError(f"{text!r} is not a signed permutation")
-        if algebra == "ssym" and any(a < 0 for a in key):
-            raise CLIError(f"{text!r} has negative letters; ssym needs a permutation")
-        return key
-    key = text_to_comp(text)
-    if algebra == "qsym" and any(not isinstance(p, int) for p in key):
-        raise CLIError(f"{text!r} has epsilon parts; qsym needs a composition")
-    return key
-
-
-def _key_text(algebra):
-    return perm_to_text if algebra in PERM_ALGEBRAS else comp_to_text
-
-
-def _render_key(algebra):
-    letter = BASIS_LETTER[algebra]
-    encode = _key_text(algebra)
-    return lambda key: f"{letter}[{encode(key)}]"
-
-
-def _emit_lincomb(lc, algebra, fmt):
-    encode = _key_text(algebra)
+def _emit(lc, ctx, fmt, tensor=False):
+    """Print a combination of basis keys of ``ctx``, or of pairs of them
+    when ``tensor`` is set."""
     if fmt == "text":
-        print(lincomb_to_text(lc, _render_key(algebra)))
+        one = lambda k: f"{ctx.letter}[{ctx.key_text(k)}]"
+        encode = (lambda kk: "(x)".join(map(one, kk))) if tensor else one
+        print(lincomb_to_text(lc, encode))
     else:
+        encode = (lambda kk: list(map(ctx.key_text, kk))) if tensor else ctx.key_text
         print(json.dumps(lincomb_to_json(lc, encode), indent=2))
 
 
-def _emit_tensor(t, algebra, fmt):
-    encode = _key_text(algebra)
+def _emit_series(series, fmt):
     if fmt == "text":
-        render = _render_key(algebra)
-        print(lincomb_to_text(t, lambda kk: f"{render(kk[0])}(x){render(kk[1])}"))
+        print(series.to_text())
     else:
-        print(json.dumps(lincomb_to_json(t, lambda kk: [encode(kk[0]), encode(kk[1])]),
-                         indent=2))
+        print(json.dumps(series.to_json(), indent=2))
 
 
 def _at_least(value, low, flag):
@@ -89,58 +59,39 @@ def _parse_lambda(text):
         raise CLIError(f"bad rational {text!r}") from None
 
 
-def cmd_product(args):
+def cmd_operation(args):
+    """product, coproduct or antipode of basis keys, by the command's name."""
     ctx = hopf.context_by_name(args.algebra, _parse_lambda(args.lam))
-    a = _parse_key(args.algebra, args.elements[0])
-    b = _parse_key(args.algebra, args.elements[1])
-    _emit_lincomb(ctx.product(a, b), args.algebra, args.format)
-    return 0
-
-
-def cmd_coproduct(args):
-    ctx = hopf.context_by_name(args.algebra, _parse_lambda(args.lam))
-    key = _parse_key(args.algebra, args.elements[0])
-    _emit_tensor(ctx.coproduct(key), args.algebra, args.format)
-    return 0
-
-
-def cmd_antipode(args):
-    ctx = hopf.context_by_name(args.algebra, _parse_lambda(args.lam))
-    key = _parse_key(args.algebra, args.elements[0])
-    _emit_lincomb(ctx.antipode(key), args.algebra, args.format)
+    keys = [ctx.parse_key(text) for text in args.elements]
+    _emit(getattr(ctx, args.command)(*keys), ctx, args.format,
+          tensor=args.command == "coproduct")
     return 0
 
 
 def cmd_convert(args):
     if {args.frm, args.to} != {"f", "m"}:
         raise CLIError("convert needs --from f --to m or --from m --to f")
-    key = text_to_comp(args.elements[0])
+    key = hopf.context_by_name(f"rqsym-{args.frm}").parse_key(args.elements[0])
     lc = hopf.f_to_m_cached(key) if args.frm == "f" else hopf.m_to_f_cached(key)
-    algebra = "rqsym-m" if args.to == "m" else "rqsym-f"
-    _emit_lincomb(lc, algebra, args.format)
+    _emit(lc, hopf.context_by_name(f"rqsym-{args.to}"), args.format)
     return 0
 
 
+# map: (algebra of the input, the function in morphisms, algebra of the
+# output); the function is looked up when the command runs
+MAPS = {
+    "d1": ("hsym", "d1", "rqsym-f"),
+    "d2": ("hsym", "d2", "rqsym-f"),
+    "phi1M": ("rqsym-m", "phi1_m", "qsym"),
+    "phi1F": ("rqsym-f", "phi1_f", "rqsym-f"),
+    "phi2": ("hsym", "phi2", "ssym"),
+}
+
+
 def cmd_map(args):
-    which = args.which
-    text = args.elements[0]
-    if which in ("d1", "d2", "phi2"):
-        key = _parse_key("hsym", text)
-        if which == "d1":
-            if any(a < 0 for a in key):
-                raise CLIError("d1 needs an ordinary permutation")
-            out, algebra = morphisms.d1(key), "rqsym-f"
-        elif which == "d2":
-            out, algebra = morphisms.d2(key), "rqsym-f"
-        else:
-            out, algebra = morphisms.phi2(key), "ssym"
-    else:
-        key = text_to_comp(text)
-        if which == "phi1M":
-            out, algebra = morphisms.phi1_m(key), "qsym"
-        else:
-            out, algebra = morphisms.phi1_f(key), "rqsym-f"
-    _emit_lincomb(out, algebra, args.format)
+    source, fn, target = MAPS[args.which]
+    key = hopf.context_by_name(source).parse_key(args.elements[0])
+    _emit(getattr(morphisms, fn)(key), hopf.context_by_name(target), args.format)
     return 0
 
 
@@ -150,22 +101,14 @@ def cmd_gamma(args):
             poset = ppartitions.parse_poset(fh.read())
     except OSError as exc:
         raise CLIError(f"cannot read poset file: {exc}") from None
-    series = ppartitions.gamma(poset, _at_least(args.vars, 1, "--vars"))
-    if args.format == "text":
-        print(series.to_text())
-    else:
-        print(json.dumps(series.to_json(), indent=2))
+    _emit_series(ppartitions.gamma(poset, _at_least(args.vars, 1, "--vars")), args.format)
     return 0
 
 
 def cmd_expand(args):
-    alpha = text_to_comp(args.elements[0])
+    alpha = hopf.context_by_name(f"rqsym-{args.basis}").parse_key(args.elements[0])
     fn = ppartitions.expand_m if args.basis == "m" else ppartitions.expand_f
-    series = fn(alpha, _at_least(args.vars, 1, "--vars"))
-    if args.format == "text":
-        print(series.to_text())
-    else:
-        print(json.dumps(series.to_json(), indent=2))
+    _emit_series(fn(alpha, _at_least(args.vars, 1, "--vars")), args.format)
     return 0
 
 
@@ -256,17 +199,17 @@ def build_parser():
         if nargs_elements:
             p.add_argument("elements", nargs=nargs_elements)
 
-    for name, fn, n_elements, help_text in (
-        ("product", cmd_product, 2, "multiply two basis elements"),
-        ("coproduct", cmd_coproduct, 1, "coproduct of a basis element"),
-        ("antipode", cmd_antipode, 1, "antipode of a basis element"),
+    for name, n_elements, help_text in (
+        ("product", 2, "multiply two basis elements"),
+        ("coproduct", 1, "coproduct of a basis element"),
+        ("antipode", 1, "antipode of a basis element"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--algebra", required=True, choices=ALGEBRAS)
+        p.add_argument("--algebra", required=True, choices=hopf.ALGEBRAS)
         p.add_argument("--lambda", dest="lam", default="-1",
                        help="quasi-shuffle weight for hsym (default -1)")
         common(p, n_elements)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_operation)
 
     p = sub.add_parser("convert", help="change basis between F and M")
     p.add_argument("--from", dest="frm", required=True, choices=("f", "m"))
@@ -276,7 +219,7 @@ def build_parser():
 
     p = sub.add_parser("map", help="apply one of the four surjections")
     p.add_argument("--which", required=True,
-                   choices=("d1", "d2", "phi1M", "phi1F", "phi2"))
+                   choices=tuple(MAPS))
     common(p, 1)
     p.set_defaults(fn=cmd_map)
 
@@ -298,7 +241,7 @@ def build_parser():
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--algebra", default=None, choices=ALGEBRAS,
+    p.add_argument("--algebra", default=None, choices=hopf.ALGEBRAS,
                    help="one algebra (default: hsym, ssym and rqsym-m)")
     common(p)
     p.set_defaults(fn=cmd_verify)

@@ -2,11 +2,15 @@
 functions, and ``verify_hopf``, which states the Hopf axioms of any of
 them as laws for the runner in ``laws``.
 
-Each algebra is packaged as a ``HopfContext``: basis-level product,
-coproduct, counit, degree, antipode, and an exhaustive basis enumerator
-per degree.  Degrees are word length on the permutation side and total
-weight on the composition side, so every stratum is finite and
-``verify_hopf`` can sweep it.
+Each of the five algebras in ``ALGEBRAS`` is defined once, as a row of
+the table in ``context_by_name``, the only constructor of a
+``HopfContext``.  A row gives the basis letter, the kind of key (signed
+permutations, of degree their length, or regularized compositions, of
+degree their total weight), the product, the coproduct, an exhaustive
+basis enumerator per degree, and the closed-form antipode if there is
+one.  The unit is the empty key, and the counit picks out its
+coefficient.  Every degree stratum is finite, so ``verify_hopf`` can
+sweep it.
 
 Antipodes come in two flavours.  Closed form for the composition side:
 
@@ -34,6 +38,7 @@ from .compositions import (
     regularized_compositions,
     reversal,
     star_product,
+    text_to_comp,
     total_weight,
 )
 from .words import (
@@ -43,36 +48,20 @@ from .words import (
     shifted_shuffle,
     signed_permutations,
     standardize,
+    text_to_perm,
 )
 
+ALGEBRAS = ("hsym", "ssym", "rqsym-m", "rqsym-f", "qsym")
 
-def hsym_coproduct(sigma):
-    """Deconcatenate at every split point and standardize both halves."""
-    out = {}
-    for p in range(len(sigma) + 1):
-        key = (standardize(sigma[:p]), standardize(sigma[p:]))
-        out[key] = out.get(key, 0) + 1
-    return LinComb.wrap(out)
+# the two kinds of basis key: degree, text form, parser of the text form
+WORDS = (len, perm_to_text, text_to_perm)
+COMPOSITIONS = (total_weight, comp_to_text, text_to_comp)
 
 
-def hsym_counit(sigma):
-    return 1 if sigma == () else 0
-
-
-def rqsym_product_m(alpha, beta):
-    return star_product(alpha, beta)
-
-
-def rqsym_coproduct_m(alpha):
-    out = {}
-    for p in range(len(alpha) + 1):
-        key = (alpha[:p], alpha[p:])
-        out[key] = out.get(key, 0) + 1
-    return LinComb.wrap(out)
-
-
-def rqsym_counit(alpha):
-    return 1 if alpha == () else 0
+def deconcatenation(key, leg=tuple):
+    """Sum of leg(u) @ leg(v) over the splits key = u v.  Splits at
+    different points give different pairs, so every coefficient is 1."""
+    return LinComb.wrap({(leg(key[:p]), leg(key[p:])): 1 for p in range(len(key) + 1)})
 
 
 def rqsym_antipode_m(alpha):
@@ -109,24 +98,17 @@ m_to_f_cached = functools.cache(m_to_f)
 
 def rqsym_product_f(alpha, beta):
     """Product on fundamental keys, computed through the monomial basis."""
-    m = lc_mul(f_to_m_cached(alpha), f_to_m_cached(beta), rqsym_product_m)
+    m = lc_mul(f_to_m_cached(alpha), f_to_m_cached(beta), star_product)
     return m.map_basis(m_to_f_cached)
 
 
 def rqsym_coproduct_f(alpha):
     """Deconcatenation splits plus near-concatenation splits (cutting a
-    positive part s into s' + s'')."""
-    out = {}
-    for p in range(len(alpha) + 1):
-        key = (alpha[:p], alpha[p:])
-        out[key] = out.get(key, 0) + 1
-    for p, part in enumerate(alpha):
-        if part is EPS:
-            continue
-        for left in range(1, part):
-            key = (alpha[:p] + (left,), (part - left,) + alpha[p + 1 :])
-            out[key] = out.get(key, 0) + 1
-    return LinComb.wrap(out)
+    positive part s into s' + s'').  Every pair arises from one split."""
+    near = {(alpha[:p] + (left,), (part - left,) + alpha[p + 1 :]): 1
+            for p, part in enumerate(alpha) if part is not EPS
+            for left in range(1, part)}
+    return LinComb.wrap({**deconcatenation(alpha).terms, **near})
 
 
 def rqsym_antipode_f(alpha):
@@ -135,27 +117,42 @@ def rqsym_antipode_f(alpha):
 
 
 class HopfContext:
-    """A Hopf algebra presented on a basis, with finite degree strata."""
+    """A Hopf algebra presented on a basis, with finite degree strata:
+    one row of the table in ``context_by_name``."""
 
-    def __init__(self, name, product, coproduct, counit, unit, degree, basis,
-                 key_text, antipode=None):
+    unit = ()
+
+    def __init__(self, name, letter, kind, excluded, product, coproduct, basis,
+                 antipode):
         self.name = name
+        self.letter = letter
+        self.degree, self.key_text, self._text_to_key = kind
+        self._excluded = excluded
         self.product = product
         self.coproduct = coproduct
-        self.counit = counit
-        self.unit = unit
-        self.degree = degree
         self.basis = basis
-        self.key_text = key_text
         self._closed_antipode = antipode
         self._antipode_memo = {}
+
+    def counit(self, key):
+        return 1 if key == () else 0
+
+    def parse_key(self, text):
+        """The basis key written ``text``; ValueError naming ``text`` if
+        there is none.  Checks the entries, never enumerates a basis."""
+        key = self._text_to_key(text)
+        if self._excluded and any(p is EPS or p < 0 for p in key):
+            raise ValueError(f"{text!r} has {self._excluded}; {self.name} keys have none")
+        return key
 
     def antipode(self, key):
         if self._closed_antipode is not None:
             return self._closed_antipode(key)
-        return self._graded_antipode(key)
+        return self.graded_antipode(key)
 
-    def _graded_antipode(self, key):
+    def graded_antipode(self, key):
+        """The antipode by the recursion over the coproduct, whether or
+        not a closed form exists."""
         deg = self.degree(key)
         if deg == 0:
             return LinComb.single(key)
@@ -165,7 +162,7 @@ class HopfContext:
         terms = []
         for (a, b), c in self.coproduct(key).terms.items():
             if self.degree(a) < deg:
-                for ka, ca in self._graded_antipode(a).terms.items():
+                for ka, ca in self.graded_antipode(a).terms.items():
                     terms.extend((k, -c * ca * cp)
                                  for k, cp in self.product(ka, b).terms.items())
             else:
@@ -175,86 +172,31 @@ class HopfContext:
         return out
 
 
-def hsym_context(lam):
-    lam = Fraction(lam) if not isinstance(lam, int) else lam
-    return HopfContext(
-        name="hsym",
-        product=lambda a, b: shifted_quasi_shuffle(a, b, lam),
-        coproduct=hsym_coproduct,
-        counit=hsym_counit,
-        unit=(),
-        degree=len,
-        basis=lambda n: list(signed_permutations(n)),
-        key_text=perm_to_text,
-    )
-
-
-def ssym_context():
-    return HopfContext(
-        name="ssym",
-        product=shifted_shuffle,
-        coproduct=hsym_coproduct,
-        counit=hsym_counit,
-        unit=(),
-        degree=len,
-        basis=lambda n: list(positive_permutations(n)),
-        key_text=perm_to_text,
-    )
-
-
-def rqsym_m_context():
-    return HopfContext(
-        name="rqsym-m",
-        product=rqsym_product_m,
-        coproduct=rqsym_coproduct_m,
-        counit=rqsym_counit,
-        unit=(),
-        degree=total_weight,
-        basis=regularized_compositions,
-        key_text=comp_to_text,
-        antipode=rqsym_antipode_m,
-    )
-
-
-def qsym_m_context():
-    return HopfContext(
-        name="qsym-m",
-        product=rqsym_product_m,
-        coproduct=rqsym_coproduct_m,
-        counit=rqsym_counit,
-        unit=(),
-        degree=total_weight,
-        basis=compositions_of,
-        key_text=comp_to_text,
-        antipode=rqsym_antipode_m,
-    )
-
-
-def rqsym_f_context():
-    return HopfContext(
-        name="rqsym-f",
-        product=rqsym_product_f,
-        coproduct=rqsym_coproduct_f,
-        counit=rqsym_counit,
-        unit=(),
-        degree=total_weight,
-        basis=regularized_compositions,
-        key_text=comp_to_text,
-        antipode=rqsym_antipode_f,
-    )
-
-
 def context_by_name(name, lam=-1):
+    """The context of the algebra ``name``, one of ``ALGEBRAS``; ``lam`` is
+    the weight of the hsym product.
+
+    The table is built on each call, so that it holds the functions this
+    module binds at the time of the call."""
+    lam = Fraction(lam) if not isinstance(lam, int) else lam
+    standardized = lambda key: deconcatenation(key, standardize)
     table = {
-        "hsym": lambda: hsym_context(lam),
-        "ssym": ssym_context,
-        "rqsym-m": rqsym_m_context,
-        "rqsym-f": rqsym_f_context,
-        "qsym": qsym_m_context,
+        # name: basis letter, key kind, entries the keys exclude, product,
+        #       coproduct, basis of a degree, closed-form antipode
+        "hsym": ("P", WORDS, None, lambda a, b: shifted_quasi_shuffle(a, b, lam),
+                 standardized, lambda n: list(signed_permutations(n)), None),
+        "ssym": ("P", WORDS, "negative letters", shifted_shuffle, standardized,
+                 lambda n: list(positive_permutations(n)), None),
+        "rqsym-m": ("M", COMPOSITIONS, None, star_product, deconcatenation,
+                    regularized_compositions, rqsym_antipode_m),
+        "rqsym-f": ("F", COMPOSITIONS, None, rqsym_product_f, rqsym_coproduct_f,
+                    regularized_compositions, rqsym_antipode_f),
+        "qsym": ("M", COMPOSITIONS, "epsilon parts", star_product, deconcatenation,
+                 compositions_of, rqsym_antipode_m),
     }
     if name not in table:
         raise ValueError(f"unknown algebra {name!r}")
-    return table[name]()
+    return HopfContext(name, *table[name])
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from fractions import Fraction
 
 def elem_key(x):
     """Sort value of a single key entry: integers as themselves, the
-    epsilon part strictly between 0 and 1 (the monoid order 0 < e < 1)."""
-    return x if isinstance(x, int) else Fraction(1, 2)
+    epsilon part strictly between 0 and 1 (the monoid order 0 < e < 1).
+    The float 0.5 is exact and compares with ints in C, unlike a Fraction."""
+    return x if isinstance(x, int) else 0.5
 
 
 def basis_sort_key(key):

@@ -33,11 +33,10 @@ from .compositions import (
     wcomp_preimage,
 )
 from .hopf import (
+    deconcatenation,
     f_to_m_cached,
-    hsym_coproduct,
     m_to_f_cached,
     rqsym_coproduct_f,
-    rqsym_coproduct_m,
     rqsym_product_f,
     star_product,
 )
@@ -79,22 +78,37 @@ def phi1_m(alpha):
     return LinComb.single(tuple(p for p in alpha if p is not EPS), sign)
 
 
+def _block_and_trail(word):
+    """(block, trail) when the positive entries of ``word`` (letters > 0
+    of a signed word, the parts other than epsilon of a composition) form
+    one block followed by ``trail`` other entries, with ((), len(word))
+    when there are none; None when they are not one block."""
+    at = [p for p, x in enumerate(word) if x is not EPS and x > 0]
+    if not at:
+        return (), len(word)
+    if at[-1] - at[0] + 1 != len(at):
+        return None
+    return word[at[0] : at[-1] + 1], len(word) - 1 - at[-1]
+
+
+def _kept_block(word):
+    """The block and the sign (-1)^trail that phi1_F and phi2 keep of a
+    nonempty word: one nonempty block of positive entries followed by at
+    most one other entry; None when they vanish on it."""
+    shape = _block_and_trail(word)
+    if shape is None or not shape[0] or shape[1] > 1:
+        return None
+    return shape[0], (-1) ** shape[1]
+
+
 def phi1_f(alpha):
     """On fundamentals: (-1)^j F of the positive middle when alpha is
     (e^i, bar, e^j) with j <= 1 and bar nonempty; 1 on the empty
     composition; zero otherwise."""
     if not alpha:
         return LinComb.single(())
-    positive = [p for p, part in enumerate(alpha) if part is not EPS]
-    if not positive:
-        return LinComb.zero()
-    first, last = positive[0], positive[-1]
-    if any(alpha[p] is EPS for p in range(first, last + 1)):
-        return LinComb.zero()
-    j = len(alpha) - 1 - last
-    if j > 1:
-        return LinComb.zero()
-    return LinComb.single(alpha[first : last + 1], (-1) ** j)
+    kept = _kept_block(alpha)
+    return LinComb.single(*kept) if kept else LinComb.zero()
 
 
 def phi2(word):
@@ -107,16 +121,8 @@ def phi2(word):
     """
     if not word:
         return LinComb.single(())
-    positive = [p for p, a in enumerate(word) if a > 0]
-    if not positive:
-        return LinComb.zero()
-    first, last = positive[0], positive[-1]
-    if len(positive) != last - first + 1:
-        return LinComb.zero()
-    j = len(word) - 1 - last
-    if j > 1:
-        return LinComb.zero()
-    return LinComb.single(standardize(word[first : last + 1]), (-1) ** j)
+    kept = _kept_block(word)
+    return LinComb.single(standardize(kept[0]), kept[1]) if kept else LinComb.zero()
 
 
 def _to_monomials(f_combo):
@@ -139,7 +145,7 @@ def _comultiplicative_into_f(f):
     fm = lambda k: _to_monomials(f(k))
 
     def check(pi):
-        lhs = tensor_bimap(hsym_coproduct(pi), fm, fm)
+        lhs = tensor_bimap(deconcatenation(pi, standardize), fm, fm)
         rhs = tensor_bimap(f(pi).map_basis(rqsym_coproduct_f), f_to_m_cached, f_to_m_cached)
         return lhs == rhs
     return check
@@ -181,15 +187,15 @@ def verify_morphism_laws(budget=4, shard=(0, 1)):
                 lc_mul(phi2(s), phi2(t), shifted_shuffle))
 
     def phi2_coproduct(pi):
-        return (tensor_bimap(hsym_coproduct(pi), phi2, phi2)
-                == phi2(pi).map_basis(hsym_coproduct))
+        return (tensor_bimap(deconcatenation(pi, standardize), phi2, phi2)
+                == phi2(pi).map_basis(lambda k: deconcatenation(k, standardize)))
 
     def phi1_product(a, b):
         return star_product(a, b).map_basis(phi1_m), lc_mul(phi1_m(a), phi1_m(b), star_product)
 
     def phi1_coproduct(a):
-        return (tensor_bimap(rqsym_coproduct_m(a), phi1_m, phi1_m)
-                == phi1_m(a).map_basis(rqsym_coproduct_m))
+        return (tensor_bimap(deconcatenation(a), phi1_m, phi1_m)
+                == phi1_m(a).map_basis(deconcatenation))
 
     def phi1_bases(a):
         return phi1_f(a), f_to_m_cached(a).map_basis(phi1_m).map_basis(m_to_f_cached)
@@ -272,19 +278,6 @@ def _phi2_of_product(s, t):
     return LinComb.wrap({k: c for k, c in out.items() if c})
 
 
-def _single_block_trailing(word):
-    """For words of shape (negs, positives, negs) return the trailing
-    negative run length (the whole length for all-negative words); None
-    when the positives are not a single block."""
-    positive = [p for p, a in enumerate(word) if a > 0]
-    if not positive:
-        return len(word)
-    first, last = positive[0], positive[-1]
-    if len(positive) != last - first + 1:
-        return None
-    return len(word) - 1 - last
-
-
 def verify_annihilation(max_len=4, shard=(0, 1)):
     """The three vanishing laws for phi2 at weight -1.
 
@@ -314,11 +307,8 @@ def verify_annihilation(max_len=4, shard=(0, 1)):
                 seen_pos_neg = True
         return False
 
-    blocky = [
-        (pi, _single_block_trailing(pi))
-        for pi in every
-        if _single_block_trailing(pi) is not None
-    ]
+    # single-block factors, with the length of their trailing negative run
+    blocky = [(pi, shape[1]) for pi in every if (shape := _block_and_trail(pi))]
     qualifying = [
         (s, t)
         for s, js in blocky

@@ -437,11 +437,12 @@ def expand_f(alpha, k):
 # randomized posets and the generating-function verification suite
 
 
-def random_poset(rng, max_size, label_pool=9):
-    """Random signed labeled poset: distinct absolute labels with random
-    signs, covers drawn forward along a shuffled order."""
+def random_poset(rng, max_size, absolutes=range(1, 10)):
+    """Random signed labeled poset: distinct labels drawn from
+    ``absolutes`` with random signs, covers drawn forward along a shuffled
+    order."""
     n = rng.randint(0, max_size)
-    absolutes = rng.sample(range(1, label_pool + 1), n)
+    absolutes = rng.sample(absolutes, n)
     labels = [a if rng.random() < 0.5 else -a for a in absolutes]
     order = labels[:]
     rng.shuffle(order)
@@ -473,21 +474,8 @@ def verify_gamma_identities(max_len=3, k=6, pair_len=4, pair_k=8,
     perms = [list(signed_permutations(n)) for n in range(max(max_len, pair_len) + 1)]
 
     rng = random.Random(seed)
-    union_cases = []
-    for _ in range(random_cases):
-        p = random_poset(rng, 3, label_pool=4)
-        nq = rng.randint(0, 3)
-        absolutes = rng.sample(range(5, 9), nq)
-        q_labels = [a if rng.random() < 0.5 else -a for a in absolutes]
-        order = q_labels[:]
-        rng.shuffle(order)
-        q_covers = [
-            (order[i], order[j])
-            for i in range(nq)
-            for j in range(i + 1, nq)
-            if rng.random() < 0.4
-        ]
-        union_cases.append((p, Poset(q_labels, q_covers)))
+    union_cases = [(random_poset(rng, 3, range(1, 5)), random_poset(rng, 3, range(5, 9)))
+                   for _ in range(random_cases)]
     extension_cases = [(random_poset(rng, 4),) for _ in range(random_cases)]
 
     def extensions(p):

@@ -126,7 +126,8 @@ def perm_to_text(word):
 
 
 def text_to_perm(text):
-    """Parse 'a,b,c' with signed decimal letters; 'id' is the identity."""
+    """Parse the signed permutation 'a,b,c' of signed decimal letters;
+    'id' is the identity."""
     text = text.strip()
     if text == "id" or text == "":
         return ()
@@ -139,4 +140,6 @@ def text_to_perm(text):
         if a == 0:
             raise ValueError(f"zero letter at position {pos}")
         out.append(a)
+    if not is_signed_permutation(out):
+        raise ValueError(f"{text!r} is not a signed permutation")
     return tuple(out)

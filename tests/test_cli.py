@@ -85,9 +85,9 @@ def test_coproduct_and_antipode(capsys):
     code, out, _ = run(capsys, "antipode", "--algebra", "hsym", "2,1")
     assert code == 0
     lc = lincomb_from_json(json.loads(out), text_to_perm)
-    from wqsym.hopf import hsym_context
+    from wqsym.hopf import context_by_name
 
-    assert lc == hsym_context(-1).antipode((2, 1))
+    assert lc == context_by_name("hsym", -1).antipode((2, 1))
 
 
 def test_convert_round_trip(capsys):
@@ -150,11 +150,11 @@ def test_gamma_suite_at_degree_zero(capsys):
 
 def test_parse_errors_exit_two(capsys):
     code, _, err = run(capsys, "product", "--algebra", "hsym", "1,1", "2,-1")
-    assert code == 2
+    assert code == 2 and "'1,1' is not a signed permutation" in err
     code, _, err = run(capsys, "product", "--algebra", "ssym", "-1", "1")
-    assert code == 2
+    assert code == 2 and "'-1' has negative letters" in err
     code, _, err = run(capsys, "product", "--algebra", "qsym", "e", "1")
-    assert code == 2
+    assert code == 2 and "'e' has epsilon parts" in err
     code, _, err = run(capsys, "map", "--which", "d1", "-1,2")
     assert code == 2
     code, _, err = run(capsys, "verify", "--suite", "hopf", "--max-degree", "1")

@@ -8,31 +8,27 @@ from wqsym.compositions import (
     compositions_of,
     regularized_compositions,
     star_product,
-    total_weight,
     weight,
     ntilde_add,
 )
+from wqsym import hopf
 from wqsym.hopf import (
-    HopfContext,
+    ALGEBRAS,
     context_by_name,
+    deconcatenation,
     f_to_m,
-    hsym_context,
-    hsym_coproduct,
     m_to_f,
-    qsym_m_context,
     report_to_json,
     rqsym_antipode_m,
     rqsym_coproduct_f,
-    rqsym_coproduct_m,
-    rqsym_counit,
-    rqsym_f_context,
-    rqsym_m_context,
     rqsym_product_f,
-    rqsym_product_m,
-    ssym_context,
     verify_hopf,
 )
-from wqsym.words import signed_permutations
+from wqsym.words import shifted_quasi_shuffle, signed_permutations, standardize
+
+
+def hsym_coproduct(sigma):
+    return deconcatenation(sigma, standardize)
 
 
 def test_coproduct_of_1324():
@@ -82,21 +78,21 @@ def _convolution(ctx, x):
 
 
 def test_antipode_trivial_values():
-    ctx = hsym_context(-1)
+    ctx = context_by_name("hsym", -1)
     assert ctx.antipode(()) == LinComb.single(())
     assert ctx.antipode((-1,)) == LinComb.single((-1,), -1)
     assert ctx.antipode((1,)) == LinComb.single((1,), -1)
 
 
 def test_antipode_convolution_on_12():
-    ctx = hsym_context(-1)
+    ctx = context_by_name("hsym", -1)
     assert _convolution(ctx, (1, 2)) == LinComb.zero()
 
 
 def test_rqsym_product_examples():
-    assert rqsym_product_m((1,), (1,)) == LinComb({(1, 1): 2, (2,): 1})
-    assert rqsym_product_m((), (2, EPS)) == LinComb.single((2, EPS))
-    assert rqsym_product_m((EPS,), (1,)) == LinComb(
+    assert star_product((1,), (1,)) == LinComb({(1, 1): 2, (2,): 1})
+    assert star_product((), (2, EPS)) == LinComb.single((2, EPS))
+    assert star_product((EPS,), (1,)) == LinComb(
         {(EPS, 1): 1, (1, EPS): 1, (1,): 1}
     )
 
@@ -108,16 +104,17 @@ def test_rqsym_product_is_graded_over_the_monoid():
             if not a or not b:
                 continue
             expect = ntilde_add(weight(a), weight(b))
-            for key in rqsym_product_m(a, b).terms:
+            for key in star_product(a, b).terms:
                 assert weight(key) == expect
 
 
 def test_rqsym_coproduct_counit_antipode():
-    assert rqsym_coproduct_m((1, EPS)) == LinComb(
+    assert deconcatenation((1, EPS)) == LinComb(
         {((), (1, EPS)): 1, ((1,), (EPS,)): 1, ((1, EPS), ()): 1}
     )
-    assert rqsym_counit(()) == 1
-    assert rqsym_counit((EPS,)) == 0
+    ctx = context_by_name("rqsym-m")
+    assert ctx.counit(()) == 1
+    assert ctx.counit((EPS,)) == 0
     assert rqsym_antipode_m((EPS,)) == LinComb.single((EPS,), -1)
     assert rqsym_antipode_m((7,)) == LinComb.single((7,), -1)
     assert rqsym_antipode_m(()) == LinComb.single(())
@@ -127,27 +124,29 @@ def test_rqsym_antipode_convolution_closed_form():
     for w in range(5):
         for alpha in regularized_compositions(w):
             conv = LinComb.zero()
-            for (a, b), c in rqsym_coproduct_m(alpha).terms.items():
+            for (a, b), c in deconcatenation(alpha).terms.items():
                 for ka, ca in rqsym_antipode_m(a).terms.items():
-                    conv = conv + rqsym_product_m(ka, b).scale(c * ca)
-            assert conv == LinComb.single((), rqsym_counit(alpha))
+                    conv = conv + star_product(ka, b).scale(c * ca)
+            assert conv == LinComb.single((), 1 if alpha == () else 0)
 
 
 def test_qsym_antipode_strategies_agree():
     # on compositions the closed form and the graded recursion match
-    recursive = HopfContext(
-        name="qsym-recursive",
-        product=rqsym_product_m,
-        coproduct=rqsym_coproduct_m,
-        counit=rqsym_counit,
-        unit=(),
-        degree=total_weight,
-        basis=compositions_of,
-        key_text=str,
-    )
+    ctx = context_by_name("qsym")
     for n in range(5):
         for alpha in compositions_of(n):
-            assert rqsym_antipode_m(alpha) == recursive.antipode(alpha)
+            assert rqsym_antipode_m(alpha) == ctx.graded_antipode(alpha)
+
+
+@pytest.mark.parametrize("name", ["rqsym-m", "rqsym-f"])
+def test_closed_antipodes_match_the_graded_recursion(name):
+    """The closed form of a table row against the recursion over the same
+    row's coproduct and product, on every key of weight <= 4."""
+    ctx = context_by_name(name)
+    keys = [alpha for w in range(5) for alpha in ctx.basis(w)]
+    assert len(keys) == 1 + 2 + 5 + 13 + 34
+    for alpha in keys:
+        assert ctx.antipode(alpha) == ctx.graded_antipode(alpha), alpha
 
 
 def test_f_to_m_examples():
@@ -176,7 +175,7 @@ def test_f_and_m_coproducts_commute_with_basis_change():
     for w in range(5):
         for alpha in regularized_compositions(w):
             lhs = tensor_bimap(rqsym_coproduct_f(alpha), f_to_m, f_to_m)
-            rhs = f_to_m(alpha).map_basis(rqsym_coproduct_m)
+            rhs = f_to_m(alpha).map_basis(deconcatenation)
             assert lhs == rhs
 
 
@@ -199,19 +198,19 @@ def test_qsym_closure():
             for beta in compositions_of(3):
                 for key in star_product(alpha, beta).terms:
                     assert all(isinstance(p, int) for p in key)
-            for (a, b) in rqsym_coproduct_m(alpha).terms:
+            for (a, b) in deconcatenation(alpha).terms:
                 assert all(isinstance(p, int) for p in a + b)
 
 
 @pytest.mark.parametrize(
     "make,degree",
     [
-        (lambda: hsym_context(-1), 2),
-        (lambda: hsym_context(0), 2),
-        (ssym_context, 3),
-        (rqsym_m_context, 3),
-        (qsym_m_context, 3),
-        (rqsym_f_context, 2),
+        (lambda: context_by_name("hsym", -1), 2),
+        (lambda: context_by_name("hsym", 0), 2),
+        pytest.param(lambda: context_by_name("ssym"), 3, id="ssym-3"),
+        pytest.param(lambda: context_by_name("rqsym-m"), 3, id="rqsym-m-3"),
+        pytest.param(lambda: context_by_name("qsym"), 3, id="qsym-3"),
+        pytest.param(lambda: context_by_name("rqsym-f"), 2, id="rqsym-f-2"),
     ],
 )
 def test_verify_hopf_smoke(make, degree):
@@ -222,6 +221,43 @@ def test_verify_hopf_smoke(make, degree):
 
 def test_context_lookup():
     assert context_by_name("hsym", -1).name == "hsym"
-    assert context_by_name("qsym").name == "qsym-m"
+    assert context_by_name("qsym").name == "qsym"
+    assert [context_by_name(name).name for name in ALGEBRAS] == list(ALGEBRAS)
     with pytest.raises(ValueError):
         context_by_name("nope")
+
+
+def test_parse_key_checks_entries_without_a_basis():
+    """Parsing looks at the entries of the key only: signed_permutations(8)
+    alone would be 10,321,920 keys."""
+    for name, text, key in [("ssym", "8,7,6,5,4,3,2,1", (8, 7, 6, 5, 4, 3, 2, 1)),
+                            ("qsym", "3,1,4", (3, 1, 4))]:
+        ctx = context_by_name(name)
+        ctx.basis = None
+        assert ctx.parse_key(text) == key
+    with pytest.raises(ValueError, match="'1,e' has epsilon parts"):
+        context_by_name("qsym").parse_key("1,e")
+    assert context_by_name("rqsym-m").parse_key("1,e") == (1, EPS)
+
+
+def test_contexts_use_the_functions_bound_when_built(monkeypatch):
+    """A context built after a module function of ``hopf`` is replaced
+    calls the replacement, so that wrappers installed after import (the
+    per-layer spans of ``perfbench``) see every call."""
+    calls = {"shifted_quasi_shuffle": 0, "rqsym_product_f": 0}
+
+    def counting(name):
+        fn = getattr(hopf, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hopf, name, counting(name))
+    hsym, rqsym_f = context_by_name("hsym", -1), context_by_name("rqsym-f")
+    assert hsym.product((1,), (-1,)) == shifted_quasi_shuffle((1,), (-1,), -1)
+    assert calls["shifted_quasi_shuffle"] == 1
+    assert rqsym_f.product((1,), (EPS,)) == rqsym_product_f((1,), (EPS,))
+    assert calls["rqsym_product_f"] == 1

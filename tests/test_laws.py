@@ -3,7 +3,7 @@ order whatever the sharding, lazy serialization, empty laws."""
 
 import sys
 
-from wqsym.hopf import hsym_context, verify_hopf
+from wqsym.hopf import context_by_name, verify_hopf
 from wqsym.laws import MAX_FAILURES, Law, merge_reports, report_to_json, run_laws
 from wqsym.lincomb import LinComb, lc_mul
 from wqsym.morphisms import verify_annihilation, verify_morphism_laws, verify_square
@@ -12,7 +12,7 @@ from wqsym.words import perm_to_text, signed_permutations
 
 def broken_hsym():
     """hsym at weight -1 with every product of total degree 2 doubled."""
-    ctx = hsym_context(-1)
+    ctx = context_by_name("hsym", -1)
     product = ctx.product
 
     def doubled(a, b):
@@ -78,7 +78,7 @@ def test_passing_suites_serialize_nothing(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("wqsym") and hasattr(module, "lincomb_to_json"):
             monkeypatch.setattr(module, "lincomb_to_json", counting)
-    reports = verify_hopf(hsym_context(-1), 2) + verify_square(3)
+    reports = verify_hopf(context_by_name("hsym", -1), 2) + verify_square(3)
     reports += verify_morphism_laws(1) + verify_annihilation(3, (0, 8))
     assert report_to_json(reports)["summary"]["status"] == "pass"
     assert calls == []
