@@ -12,6 +12,7 @@ Exit codes: 0 on success, 1 when a verification suite reports failures,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -186,6 +187,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d[\d,\-/]*$")
 
 
+@functools.cache  # built on the first call, then shared by every call of main
 def build_parser():
     parser = _Parser(
         prog="wqsym",

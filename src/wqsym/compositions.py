@@ -354,8 +354,8 @@ def text_to_comp(text):
         try:
             p = int(bit)
         except ValueError:
-            raise ValueError(f"bad part {bit!r} at position {pos}") from None
+            raise ValueError(f"bad part {bit!r} at position {pos} of {text!r}") from None
         if p < 1:
-            raise ValueError(f"nonpositive part {p} at position {pos}")
+            raise ValueError(f"nonpositive part {p} at position {pos} of {text!r}")
         out.append(p)
     return tuple(out)

@@ -118,7 +118,9 @@ def rqsym_antipode_f(alpha):
 
 class HopfContext:
     """A Hopf algebra presented on a basis, with finite degree strata:
-    one row of the table in ``context_by_name``."""
+    one row of the table in ``context_by_name``.  Product, coproduct and
+    antipodes are memoized per context (the plain functions are their
+    ``__wrapped__``), so a new context starts cold."""
 
     unit = ()
 
@@ -128,11 +130,11 @@ class HopfContext:
         self.letter = letter
         self.degree, self.key_text, self._text_to_key = kind
         self._excluded = excluded
-        self.product = product
-        self.coproduct = coproduct
+        self.product = functools.cache(product)
+        self.coproduct = functools.cache(coproduct)
         self.basis = basis
-        self._closed_antipode = antipode
-        self._antipode_memo = {}
+        self.graded_antipode = functools.cache(self.graded_antipode)
+        self._antipode = functools.cache(antipode) if antipode else self.graded_antipode
 
     def counit(self, key):
         return 1 if key == () else 0
@@ -146,9 +148,8 @@ class HopfContext:
         return key
 
     def antipode(self, key):
-        if self._closed_antipode is not None:
-            return self._closed_antipode(key)
-        return self.graded_antipode(key)
+        """The closed-form antipode if the row has one, else the graded one."""
+        return self._antipode(key)
 
     def graded_antipode(self, key):
         """The antipode by the recursion over the coproduct, whether or
@@ -156,9 +157,6 @@ class HopfContext:
         deg = self.degree(key)
         if deg == 0:
             return LinComb.single(key)
-        memo = self._antipode_memo
-        if key in memo:
-            return memo[key]
         terms = []
         for (a, b), c in self.coproduct(key).terms.items():
             if self.degree(a) < deg:
@@ -168,8 +166,7 @@ class HopfContext:
             else:
                 # connectedness: the only non-reduced term is key @ unit
                 assert a == key and b == self.unit and c == 1, (key, a, b, c)
-        out = memo[key] = LinComb(terms)
-        return out
+        return LinComb(terms)
 
 
 def context_by_name(name, lam=-1):
@@ -178,7 +175,8 @@ def context_by_name(name, lam=-1):
 
     The table is built on each call, so that it holds the functions this
     module binds at the time of the call."""
-    lam = Fraction(lam) if not isinstance(lam, int) else lam
+    lam = Fraction(lam)
+    lam = lam.numerator if lam.denominator == 1 else lam  # an integral weight stays int
     standardized = lambda key: deconcatenation(key, standardize)
     table = {
         # name: basis letter, key kind, entries the keys exclude, product,
@@ -240,15 +238,12 @@ def verify_hopf(ctx, max_degree, shard=(0, 1)):
         return (LinComb((b, c * ctx.counit(a)) for (a, b), c in dx) == xl
                 and LinComb((a, c * ctx.counit(b)) for (a, b), c in dx) == xl)
 
-    # counit and coproduct multiplicativity share the product of each pair
-    pair_product = functools.cache(ctx.product)
-
     def counit_multiplicativity(x, y):
-        eps = sum(c * ctx.counit(k) for k, c in pair_product(x, y).terms.items())
+        eps = sum(c * ctx.counit(k) for k, c in ctx.product(x, y).terms.items())
         return eps == ctx.counit(x) * ctx.counit(y)
 
     def coproduct_multiplicativity(x, y):
-        lhs = pair_product(x, y).map_basis(ctx.coproduct)
+        lhs = ctx.product(x, y).map_basis(ctx.coproduct)
         return lhs, tensor_bilinear(ctx.coproduct(x), ctx.coproduct(y), ctx.product)
 
     def cograded(x):

@@ -20,8 +20,6 @@ builds only the words that phi2 does not kill.
 """
 from __future__ import annotations
 
-import functools
-
 from .laws import Law, graded_tuples, run_laws
 from .lincomb import LinComb, lc_mul, tensor_bimap
 from .compositions import (
@@ -33,6 +31,7 @@ from .compositions import (
     wcomp_preimage,
 )
 from .hopf import (
+    context_by_name,
     deconcatenation,
     f_to_m_cached,
     m_to_f_cached,
@@ -44,7 +43,6 @@ from .words import (
     perm_to_text,
     positive_permutations,
     shift,
-    shifted_quasi_shuffle,
     shifted_shuffle,
     signed_permutations,
     standardize,
@@ -55,7 +53,7 @@ from .words import (
 def d1(pi):
     """F indexed by the descent composition of a permutation."""
     if any(a < 0 for a in pi):
-        raise ValueError(f"d1 needs an ordinary permutation, got {pi}")
+        raise ValueError(f"d1 needs an ordinary permutation, got {perm_to_text(pi)}")
     if not pi:
         return LinComb.single(())
     return LinComb.single(comp_of_descents(weak_descent_set(pi), len(pi)))
@@ -179,8 +177,8 @@ def verify_morphism_laws(budget=4, shard=(0, 1)):
     signed_pairs = graded_tuples(signed, 2, reach)
     signed_singles = graded_tuples(signed, 1, reach)
     comp_singles = graded_tuples(comps, 1, reach)
-    # phi2 and d2 multiplicativity share the product of each pair
-    weight_minus_one = functools.cache(lambda s, t: shifted_quasi_shuffle(s, t, -1))
+    # phi2 and d2 multiplicativity share the memoized product of each pair
+    weight_minus_one = context_by_name("hsym", -1).product
 
     def phi2_product(s, t):
         return (weight_minus_one(s, t).map_basis(phi2),

@@ -92,7 +92,9 @@ def shifted_quasi_shuffle(sigma, tau, lam):
     """st(sigma * tau[m]) with m = len(sigma): the product on signed
     permutations.  With lam = 0 this is the shifted shuffle."""
     raw = quasi_shuffle(sigma, shift(tau, len(sigma)), lam, sign_bullet)
-    return LinComb.wrap(accumulate({}, zip(map(standardize, raw.terms), raw.terms.values())))
+    n = len(sigma) + len(tau)  # a word of length n merged no letters: it needs no st
+    return LinComb.wrap(accumulate({}, ((w if len(w) == n else standardize(w), c)
+                                        for w, c in raw.terms.items())))
 
 
 def shifted_shuffle(sigma, tau):
@@ -136,9 +138,9 @@ def text_to_perm(text):
         try:
             a = int(bit)
         except ValueError:
-            raise ValueError(f"bad letter {bit!r} at position {pos}") from None
+            raise ValueError(f"bad letter {bit!r} at position {pos} of {text!r}") from None
         if a == 0:
-            raise ValueError(f"zero letter at position {pos}")
+            raise ValueError(f"zero letter at position {pos} of {text!r}")
         out.append(a)
     if not is_signed_permutation(out):
         raise ValueError(f"{text!r} is not a signed permutation")

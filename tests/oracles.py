@@ -4,7 +4,8 @@ These are the independent formulas the library's products and statistics
 are checked against: the stuffle form of the quasi-shuffle product (a sum
 over pairs of order preserving injections), its right-sided recursion,
 the plain descent set of a signed word, the multinomial counts of
-all-negative products, and a second bullet for the quasi-shuffle laws.
+all-negative products, a second bullet for the quasi-shuffle laws, and
+the shifted product with every term standardized.
 None of them is used by the library itself.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 from math import factorial
 
 from wqsym.lincomb import LinComb
-from wqsym.words import quasi_shuffle, sign_bullet
+from wqsym.words import quasi_shuffle, shift, sign_bullet, standardize
 
 
 def min_bullet(a, b):
@@ -78,6 +79,13 @@ def stuffle(u, v, lam, bullet=sign_bullet):
             w = tuple(word)
             out[w] = out.get(w, 0) + weight
     return LinComb.wrap({w: c for w, c in out.items() if c})
+
+
+def shifted_quasi_shuffle_reference(sigma, tau, lam):
+    """st(sigma * tau[m]) with st applied to every term, merged or not:
+    the reference for the product that skips st on full-length words."""
+    raw = quasi_shuffle(sigma, shift(tau, len(sigma)), lam, sign_bullet)
+    return LinComb((standardize(w), c) for w, c in raw.terms.items())
 
 
 def right_quasi_shuffle_step(wc, vd, lam, bullet=sign_bullet):

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from wqsym import morphisms
-from wqsym.cli import main
+from wqsym.cli import build_parser, main
 from wqsym.laws import Law, run_laws
 from wqsym.lincomb import lincomb_from_json
 from wqsym.words import text_to_perm
@@ -169,6 +169,32 @@ def test_parse_errors_exit_two(capsys):
     assert code == 2 and "--vars" in err
     code, _, err = run(capsys, "verify", "--suite", "square", "--jobs", "0")
     assert code == 2 and "--jobs" in err
+
+
+def test_parse_errors_name_the_input(capsys):
+    code, _, err = run(capsys, "product", "--algebra", "hsym", "1,-2", "2,x")
+    assert (code, err) == (2, "error: bad letter 'x' at position 2 of '2,x'\n")
+    code, _, err = run(capsys, "coproduct", "--algebra", "rqsym-m", "1,0,e")
+    assert (code, err) == (2, "error: nonpositive part 0 at position 2 of '1,0,e'\n")
+    code, _, err = run(capsys, "map", "--which", "d1", "-1,2")
+    assert (code, err) == (2, "error: d1 needs an ordinary permutation, got -1,2\n")
+
+
+def test_one_parser_serves_successive_calls(capsys):
+    """The parser is built once; a value or an error of one call does not
+    leak into the next."""
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "product", "--algebra", "hsym", "--lambda", "2/3",
+                       "-1,-2", "-1,2")
+    assert code == 0 and '"2/3"' in out
+    code, _, err = run(capsys, "verify", "--suite", "hopf", "--max-degree", "1")
+    assert code == 2 and "lambda" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["product", "--algebra", "nope", "1", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, out, _ = run(capsys, "product", "--algebra", "ssym", "1", "1")
+    assert code == 0 and len(json.loads(out)["terms"]) == 2
 
 
 def failing_square(max_len, shard=(0, 1)):

@@ -276,9 +276,9 @@ def test_composition_text_round_trip():
     assert text_to_comp("empty") == ()
     assert text_to_comp("1,e,2,1,e,e") == (1, EPS, 2, 1, EPS, EPS)
     assert comp_to_text((1, EPS, 2)) == "1,e,2"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonpositive part 0 at position 2 of '1,0,2'"):
         text_to_comp("1,0,2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad part 'x' at position 2 of '1,x'"):
         text_to_comp("1,x")
 
 

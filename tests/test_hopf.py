@@ -1,5 +1,7 @@
 """Coproducts, antipodes, basis changes, and the axiom checker."""
 
+from fractions import Fraction
+
 import pytest
 
 from wqsym.lincomb import LinComb, tensor_bimap
@@ -261,3 +263,53 @@ def test_contexts_use_the_functions_bound_when_built(monkeypatch):
     assert calls["shifted_quasi_shuffle"] == 1
     assert rqsym_f.product((1,), (EPS,)) == rqsym_product_f((1,), (EPS,))
     assert calls["rqsym_product_f"] == 1
+
+
+def unmemoized(ctx):
+    """``ctx`` with every memo replaced by the plain function it wraps:
+    the reference for the memoized context."""
+    ctx.product = ctx.product.__wrapped__
+    ctx.coproduct = ctx.coproduct.__wrapped__
+    ctx.graded_antipode = ctx.graded_antipode.__wrapped__
+    ctx._antipode = ctx._antipode.__wrapped__
+    return ctx
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_memoized_context_matches_the_plain_one(name):
+    """verify_hopf at degree 3 gives the same report, law by law, on the
+    memoized context as on the same context with its memos unwrapped;
+    the memoized run reuses products."""
+    ctx = context_by_name(name, -1)
+    plain = unmemoized(context_by_name(name, -1))
+    assert not hasattr(plain.product, "cache_info")
+    assert report_to_json(verify_hopf(ctx, 3)) == report_to_json(verify_hopf(plain, 3))
+    assert ctx.product.cache_info().hits > 0
+    assert ctx.coproduct.cache_info().hits > 0
+
+
+def test_memos_are_per_context_and_results_stay_unchanged():
+    """Every context starts cold, and a cached combination is shared by
+    the laws without being mutated by any of them."""
+    ctx = context_by_name("hsym", -1)
+    x, y = (1, -2), (-1,)
+    prod, cop, anti = ctx.product(x, y), ctx.coproduct(x), ctx.antipode(x)
+    before = [dict(lc.terms) for lc in (prod, cop, anti)]
+    verify_hopf(ctx, 3)
+    assert ctx.product(x, y) is prod and ctx.coproduct(x) is cop and ctx.antipode(x) is anti
+    assert [lc.terms for lc in (prod, cop, anti)] == before
+    assert ctx.graded_antipode.cache_info().currsize > 0
+    fresh = context_by_name("hsym", -1)
+    assert fresh.product.cache_info().currsize == 0
+    assert fresh.graded_antipode.cache_info().currsize == 0
+
+
+def test_integral_weight_keeps_int_coefficients():
+    """An integral weight, even given as a Fraction, leaves hsym
+    coefficients int; a proper fraction makes the merged terms Fractions."""
+    x, y = (-1, -2), (-1, 2)
+    for lam in (-1, Fraction(-1), "-1"):
+        coeffs = context_by_name("hsym", lam).product(x, y).terms.values()
+        assert all(type(c) is int for c in coeffs)
+    coeffs = list(context_by_name("hsym", Fraction(2, 3)).product(x, y).terms.values())
+    assert Fraction(2, 3) in coeffs and any(type(c) is Fraction for c in coeffs)

@@ -12,6 +12,7 @@ from oracles import (
     min_bullet,
     multinomial_collapse,
     right_quasi_shuffle_step,
+    shifted_quasi_shuffle_reference,
     stuffle,
     stuffle_patterns,
 )
@@ -228,6 +229,24 @@ def test_shift_amount_does_not_matter_beyond_length():
                 assert LinComb(st_terms) == base
 
 
+@pytest.mark.parametrize("lam", [-1, 0, Fraction(2, 3)])
+def test_merge_free_terms_skip_standardize(lam):
+    """The product standardizes only the words shorter than the full
+    length; the reference standardizes every term.  Every pair of signed
+    permutations of total degree <= 4."""
+    perms = [list(signed_permutations(n)) for n in range(5)]
+    pairs = 0
+    for m in range(5):
+        for n in range(5 - m):
+            for sigma in perms[m]:
+                for tau in perms[n]:
+                    got = shifted_quasi_shuffle(sigma, tau, lam)
+                    assert got.terms == shifted_quasi_shuffle_reference(sigma, tau, lam).terms
+                    assert all(is_signed_permutation(w) for w in got.terms)
+                    pairs += 1
+    assert pairs == 1177
+
+
 def test_shifted_product_associative():
     perms = [pi for n in range(3) for pi in signed_permutations(n)]
     for lam in (-1, Fraction(2, 3)):
@@ -302,7 +321,7 @@ def test_perm_text_round_trip():
     assert text_to_perm("id") == ()
     assert text_to_perm("5,-3,2,4,-6,-1") == (5, -3, 2, 4, -6, -1)
     assert perm_to_text((5, -3, 2, 4, -6, -1)) == "5,-3,2,4,-6,-1"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero letter at position 2 of '1,0,2'"):
         text_to_perm("1,0,2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad letter 'x' at position 2 of '1,x'"):
         text_to_perm("1,x")
