@@ -14,15 +14,16 @@ Every regularized composition has a unique finest block form
     (e^{i_1}, s_1, e^{i_2}, s_2, ..., e^{i_k}, s_k, e^{i_{k+1}})
 
 with single positive parts s_q; ``eps_runs`` returns the run lengths and
-the positive parts, and the statistics, refinement order and basis-change
-enumeration below all work through it.
+the positive parts, and the descent set, basis-change enumeration and
+``wcomp_preimage`` below work through it.  The statistics and the
+refinement order that the tests check these against live in the tests'
+oracles.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from math import comb
 
-from .words import quasi_shuffle, standardize, weak_descent_set
+from .words import quasi_shuffle, weak_descent_set
 
 
 class _Eps:
@@ -58,10 +59,6 @@ def regularize(weak):
     return tuple(out)
 
 
-def unregularize(alpha):
-    return tuple(0 if p is EPS else p for p in alpha)
-
-
 def eps_runs(alpha):
     """Finest block form: (run lengths i_1..i_{k+1}, positive parts s_1..s_k)."""
     runs = [0]
@@ -73,19 +70,6 @@ def eps_runs(alpha):
             parts.append(part)
             runs.append(0)
     return runs, parts
-
-
-def weight(alpha):
-    """|alpha| in the monoid: 0 for empty, e for all-epsilon, else the
-    sum of the positive parts."""
-    runs, parts = eps_runs(alpha)
-    if parts:
-        return sum(parts)
-    return EPS if runs[0] else 0
-
-
-def eps_length(alpha):
-    return sum(1 for p in alpha if p is EPS)
 
 
 def total_weight(alpha):
@@ -101,13 +85,6 @@ def descent_set(alpha):
         b += i + s
         out.add(b)
     return out
-
-
-Stats = namedtuple("Stats", "weight total_weight eps_length descent_set")
-
-
-def stats(alpha):
-    return Stats(weight(alpha), total_weight(alpha), eps_length(alpha), descent_set(alpha))
 
 
 def comp_of_descents(S, n):
@@ -137,33 +114,6 @@ def compositions_of(n):
         for rest in compositions_of(n - first):
             out.append((first,) + rest)
     return out
-
-
-def refines(beta, alpha):
-    """True when beta is a refinement of alpha.
-
-    A coarsening merges adjacent positive parts and lengthens epsilon
-    runs; the trailing run must be empty in both or nonempty in both.
-    """
-    runs_a, parts_a = eps_runs(alpha)
-    runs_b, parts_b = eps_runs(beta)
-    t = 0
-    for q, target in enumerate(parts_a):
-        if t >= len(parts_b) or runs_b[t] > runs_a[q]:
-            return False
-        acc = parts_b[t]
-        t += 1
-        while acc < target:
-            if t >= len(parts_b) or runs_b[t] != 0:
-                return False
-            acc += parts_b[t]
-            t += 1
-        if acc != target:
-            return False
-    if t != len(parts_b):
-        return False
-    ja, jb = runs_a[-1], runs_b[-1]
-    return (ja == 0 and jb == 0) or (1 <= jb <= ja)
 
 
 def refinement_terms(alpha):
@@ -203,30 +153,8 @@ def refinement_terms(alpha):
     return out
 
 
-def enumerate_refinements(alpha):
-    return [beta for beta, _ in refinement_terms(alpha)]
-
-
 def reversal(alpha):
     return tuple(reversed(alpha))
-
-
-def concat(alpha, beta):
-    return tuple(alpha) + tuple(beta)
-
-
-def near_concat(alpha, beta):
-    """(a_1, ..., a_k + b_1, ..., b_l); defined only for positive
-    boundary parts."""
-    if not alpha or not beta:
-        raise ValueError("near concatenation needs nonempty compositions")
-    if alpha[-1] is EPS:
-        raise ValueError(
-            f"near concatenation undefined: left part at position {len(alpha)} is e"
-        )
-    if beta[0] is EPS:
-        raise ValueError("near concatenation undefined: right part at position 1 is e")
-    return tuple(alpha[:-1]) + (alpha[-1] + beta[0],) + tuple(beta[1:])
 
 
 def j_apply(J, alpha):
@@ -257,8 +185,11 @@ def star_product(alpha, beta):
 
 def wcomp(pi):
     """Regularized composition of a signed permutation: an e per negative
-    letter, and the descent composition of each standardized maximal
-    positive block."""
+    letter, and the descent composition of each maximal positive block.
+
+    A block's descents depend only on the relative order of its letters,
+    so any signed word whose positive letters are distinct gives the
+    value of its standardization."""
     out = []
     n = len(pi)
     i = 0
@@ -270,8 +201,7 @@ def wcomp(pi):
             j = i
             while j < n and pi[j] > 0:
                 j += 1
-            block = standardize(pi[i:j])
-            out.extend(comp_of_descents(weak_descent_set(block), len(block)))
+            out.extend(comp_of_descents(weak_descent_set(pi[i:j]), j - i))
             i = j
     return tuple(out)
 

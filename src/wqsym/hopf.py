@@ -12,6 +12,14 @@ one.  The unit is the empty key, and the counit picks out its
 coefficient.  Every degree stratum is finite, so ``verify_hopf`` can
 sweep it.
 
+The fundamental product goes through signed permutations, by the paper's
+P-partition theorem: Gamma(pi) = F_{wcomp(pi)}, and Gamma takes the
+weight -1 shifted quasi-shuffle to the product of generating functions,
+so F_alpha F_beta = sum_w c_w F_{wcomp(w)} over the terms c_w w of that
+product of any two preimages under ``wcomp`` (Gessel's rule for QSym,
+extended to epsilon parts).  The monomial route, F -> M, quasi-shuffle,
+M -> F, is kept in the tests as its reference.
+
 Antipodes come in two flavours.  Closed form for the composition side:
 
     S(M_a) = (-1)^{len(a)} sum_{J |= len(a)} M_{J[a^r]}.
@@ -28,7 +36,7 @@ from fractions import Fraction
 
 from .laws import Law, graded_tuples, run_laws
 from .laws import report_to_json  # re-exported: hopf.report_to_json is public
-from .lincomb import LinComb, lc_mul, tensor_bilinear
+from .lincomb import LinComb, tensor_bilinear
 from .compositions import (
     EPS,
     comp_to_text,
@@ -40,10 +48,14 @@ from .compositions import (
     star_product,
     text_to_comp,
     total_weight,
+    wcomp,
+    wcomp_preimage,
 )
 from .words import (
     perm_to_text,
     positive_permutations,
+    quasi_shuffle,
+    shift,
     shifted_quasi_shuffle,
     shifted_shuffle,
     signed_permutations,
@@ -97,9 +109,21 @@ m_to_f_cached = functools.cache(m_to_f)
 
 
 def rqsym_product_f(alpha, beta):
-    """Product on fundamental keys, computed through the monomial basis."""
-    m = lc_mul(f_to_m_cached(alpha), f_to_m_cached(beta), star_product)
-    return m.map_basis(m_to_f_cached)
+    """Product on fundamental keys, through signed permutations.
+
+    By the paper's P-partition theorem, Gamma(pi) = F_{wcomp(pi)} and
+    Gamma takes the weight -1 shifted quasi-shuffle to the product.  So
+
+        F_alpha F_beta = sum_w c_w F_{wcomp(w)}
+
+    over the terms c_w w of s * t[len(s)] at weight -1, for any s and t
+    with wcomp(s) = alpha and wcomp(t) = beta.  ``wcomp`` reads only the
+    relative order inside each positive block, and merges touch only
+    negative letters, so the raw words need no ``standardize``.
+    """
+    s, t = wcomp_preimage(alpha), wcomp_preimage(beta)
+    raw = quasi_shuffle(s, shift(t, len(s)), -1)
+    return LinComb((wcomp(w), c) for w, c in raw.terms.items())
 
 
 def rqsym_coproduct_f(alpha):

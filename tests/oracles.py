@@ -4,16 +4,29 @@ These are the independent formulas the library's products and statistics
 are checked against: the stuffle form of the quasi-shuffle product (a sum
 over pairs of order preserving injections), its right-sided recursion,
 the plain descent set of a signed word, the multinomial counts of
-all-negative products, a second bullet for the quasi-shuffle laws, and
-the shifted product with every term standardized.
+all-negative products, a second bullet for the quasi-shuffle laws, the
+shifted product with every term standardized, the product of
+fundamentals through the monomial basis, the Aguiar-Bergeron-Sottile map
+Psi_zeta into QSym, and the statistics, refinement order and
+concatenations of compositions.
 None of them is used by the library itself.
 """
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from math import factorial
 
-from wqsym.lincomb import LinComb
+from wqsym.compositions import (
+    EPS,
+    descent_set as comp_descent_set,
+    eps_runs,
+    refinement_terms,
+    star_product,
+    total_weight,
+)
+from wqsym.hopf import context_by_name, f_to_m, m_to_f
+from wqsym.lincomb import LinComb, lc_mul
 from wqsym.words import quasi_shuffle, shift, sign_bullet, standardize
 
 
@@ -139,3 +152,111 @@ def multinomial_collapse(m, n):
         )
         out[m + n - i] = (-1) ** i * count
     return LinComb.wrap({k: c for k, c in out.items() if c})
+
+
+def rqsym_product_f_via_m(alpha, beta):
+    """F_alpha F_beta through the monomial basis: expand both factors in
+    M, take the composition quasi-shuffle of every pair, and convert back
+    to F.  The reference for the product through signed permutations."""
+    return lc_mul(f_to_m(alpha), f_to_m(beta), star_product).map_basis(m_to_f)
+
+
+def psi_zeta(pi):
+    """Psi_zeta(pi) = sum_alpha zeta_alpha(pi) M_alpha on the
+    Malvenuto-Reutenauer algebra, with the character zeta(sigma) =
+    [sigma increasing] (Aguiar, Bergeron and Sottile, Combinatorial Hopf
+    algebras and generalized Dehn-Sommerville relations, Thm 4.1).
+
+    zeta_alpha is zeta^{(x) k} on the part of the iterated coproduct of
+    degrees alpha_1, ..., alpha_k, so this peels off the left leg of each
+    coproduct term of positive degree, using the coproduct alone."""
+    coproduct = context_by_name("ssym").coproduct
+    increasing = lambda s: all(a < b for a, b in zip(s, s[1:]))
+
+    def psi(key):
+        if not key:
+            return LinComb.single(())
+        return LinComb(((len(a),) + alpha, c * cm)
+                       for (a, b), c in coproduct(key).terms.items()
+                       if a and increasing(a)
+                       for alpha, cm in psi(b).terms.items())
+
+    return psi(tuple(pi))
+
+
+# ---------------------------------------------------------------------------
+# statistics, refinement and concatenation of regularized compositions
+
+
+def unregularize(alpha):
+    return tuple(0 if p is EPS else p for p in alpha)
+
+
+def weight(alpha):
+    """|alpha| in the monoid: 0 for empty, e for all-epsilon, else the
+    sum of the positive parts."""
+    runs, parts = eps_runs(alpha)
+    if parts:
+        return sum(parts)
+    return EPS if runs[0] else 0
+
+
+def eps_length(alpha):
+    return sum(1 for p in alpha if p is EPS)
+
+
+Stats = namedtuple("Stats", "weight total_weight eps_length descent_set")
+
+
+def stats(alpha):
+    return Stats(weight(alpha), total_weight(alpha), eps_length(alpha),
+                 comp_descent_set(alpha))
+
+
+def refines(beta, alpha):
+    """True when beta is a refinement of alpha.
+
+    A coarsening merges adjacent positive parts and lengthens epsilon
+    runs; the trailing run must be empty in both or nonempty in both.
+    """
+    runs_a, parts_a = eps_runs(alpha)
+    runs_b, parts_b = eps_runs(beta)
+    t = 0
+    for q, target in enumerate(parts_a):
+        if t >= len(parts_b) or runs_b[t] > runs_a[q]:
+            return False
+        acc = parts_b[t]
+        t += 1
+        while acc < target:
+            if t >= len(parts_b) or runs_b[t] != 0:
+                return False
+            acc += parts_b[t]
+            t += 1
+        if acc != target:
+            return False
+    if t != len(parts_b):
+        return False
+    ja, jb = runs_a[-1], runs_b[-1]
+    return (ja == 0 and jb == 0) or (1 <= jb <= ja)
+
+
+def enumerate_refinements(alpha):
+    return [beta for beta, _ in refinement_terms(alpha)]
+
+
+def concat(alpha, beta):
+    return tuple(alpha) + tuple(beta)
+
+
+def near_concat(alpha, beta):
+    """(a_1, ..., a_k + b_1, ..., b_l); defined only for positive
+    boundary parts."""
+    if not alpha or not beta:
+        raise ValueError("near concatenation needs nonempty compositions")
+    if alpha[-1] is EPS:
+        raise ValueError(
+            f"near concatenation undefined: left part at position {len(alpha)} is e"
+        )
+    if beta[0] is EPS:
+        raise ValueError("near concatenation undefined: right part at position 1 is e")
+    return tuple(alpha[:-1]) + (alpha[-1] + beta[0],) + tuple(beta[1:])

@@ -13,9 +13,7 @@ from fractions import Fraction
 from wqsym.lincomb import LinComb
 from wqsym.compositions import (
     EPS,
-    concat,
     j_apply,
-    near_concat,
     regularized_compositions,
     reversal,
     text_to_comp,
@@ -46,7 +44,7 @@ from wqsym.ppartitions import (
     gamma,
     verify_gamma_identities,
 )
-from oracles import multinomial_collapse, stuffle
+from oracles import concat, multinomial_collapse, near_concat, stuffle
 from wqsym.words import (
     quasi_shuffle,
     shifted_quasi_shuffle,

@@ -33,6 +33,10 @@ for name, lam, a, b in [
 ]:
     algebra = name.split("-lam")[0]
     CASES[f"product-{name}"] = ("product", "--algebra", algebra, "--lambda", lam, a, b)
+# F products with 103 and 206 terms, captured before the F product went
+# through signed permutations
+for name, a, b in [("2e3e-e2", "2,e,3,e", "e,2"), ("31-111eee", "3,1", "1,1,1,e,e,e")]:
+    CASES[f"product-rqsym-f-{name}"] = ("product", "--algebra", "rqsym-f", a, b)
 for name, lam, x in [
     ("hsym-lam-1", "-1", "-2,-1,-3"),
     ("hsym-lam0", "0", "-2,-1,-3"),

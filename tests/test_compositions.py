@@ -10,29 +10,31 @@ from wqsym.compositions import (
     EPS,
     comp_of_descents,
     comp_to_text,
-    concat,
     descent_set,
-    enumerate_refinements,
     eps_runs,
     j_apply,
-    near_concat,
     ntilde_add,
-    refines,
     refinement_terms,
     regularize,
     regularized_compositions,
     reversal,
     star_product,
-    stats,
     text_to_comp,
     total_weight,
-    unregularize,
     wcomp,
     wcomp_preimage,
+)
+from wqsym.words import quasi_shuffle, shift, signed_permutations, standardize, weak_descent_set
+from oracles import (
+    concat,
+    enumerate_refinements,
+    near_concat,
+    refines,
+    stats,
+    stuffle,
+    unregularize,
     weight,
 )
-from wqsym.words import signed_permutations, standardize, weak_descent_set
-from oracles import stuffle
 
 
 def test_monoid_addition_table():
@@ -262,6 +264,18 @@ def test_wcomp_split_rule():
                     assert full == concat(left, right)
                 else:
                     assert full == near_concat(left, right)
+
+
+def test_wcomp_of_a_raw_product_word_is_wcomp_of_its_standardization():
+    """wcomp skips st: on every raw word of s * t[len(s)] at weight -1,
+    merged or not, it equals wcomp of the standardized word."""
+    perms = [list(signed_permutations(n)) for n in range(5)]
+    for a in range(5):
+        for b in range(5 - a):
+            for s, t in itertools.product(perms[a], perms[b]):
+                for w in quasi_shuffle(s, shift(t, a), -1).terms:
+                    assert wcomp(w) == wcomp(standardize(w)), w
+    assert wcomp((7, 2, 2, -9)) == wcomp(standardize((7, 2, 2, -9))) == (1, 2, EPS)
 
 
 def test_wcomp_preimage_round_trip():

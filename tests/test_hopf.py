@@ -1,17 +1,23 @@
 """Coproducts, antipodes, basis changes, and the axiom checker."""
 
+import importlib
+import os
+import shutil
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqsym.lincomb import LinComb, tensor_bimap
 from wqsym.compositions import (
     EPS,
+    comp_to_text,
     compositions_of,
     regularized_compositions,
     star_product,
-    weight,
     ntilde_add,
+    text_to_comp,
 )
 from wqsym import hopf
 from wqsym.hopf import (
@@ -27,6 +33,7 @@ from wqsym.hopf import (
     verify_hopf,
 )
 from wqsym.words import shifted_quasi_shuffle, signed_permutations, standardize
+from oracles import rqsym_product_f_via_m, weight
 
 
 def hsym_coproduct(sigma):
@@ -192,6 +199,75 @@ def test_f_product_five_term_example():
             (2, EPS): -1,
         }
     )
+
+
+def f_pairs(max_total):
+    """Every pair of regularized compositions of summed weight <= max_total."""
+    comps = [regularized_compositions(w) for w in range(max_total + 1)]
+    return [(a, b) for wa in range(max_total + 1) for wb in range(max_total + 1 - wa)
+            for a in comps[wa] for b in comps[wb]]
+
+
+def test_f_product_matches_the_monomial_route_exhaustively():
+    """The product through signed permutations equals the product through
+    the monomial basis, as full combinations, on all 1,985 pairs of
+    summed weight <= 6."""
+    pairs = f_pairs(6)
+    assert len(pairs) == 1985
+    for a, b in pairs:
+        assert rqsym_product_f(a, b) == rqsym_product_f_via_m(a, b), (a, b)
+
+
+@st.composite
+def _regularized_composition(draw, total):
+    parts = []
+    while total:
+        part = draw(st.integers(1, total))
+        parts.append(EPS if part == 1 and draw(st.booleans()) else part)
+        total -= part
+    return tuple(parts)
+
+
+@st.composite
+def _f_pairs_of_total_7_to_10(draw):
+    total = draw(st.integers(7, 10))
+    left = draw(st.integers(0, total))
+    return draw(_regularized_composition(left)), draw(_regularized_composition(total - left))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_f_pairs_of_total_7_to_10())
+def test_f_product_matches_the_monomial_route_sampled(pair):
+    a, b = pair
+    assert rqsym_product_f(a, b) == rqsym_product_f_via_m(a, b)
+
+
+def test_cross_check_catches_the_wrong_weight(tmp_path, monkeypatch):
+    """A copy of the package whose F product uses the weight 0 shuffle
+    must fail the cross-check against the monomial route."""
+    mutant = tmp_path / "wqsym_mutant"
+    shutil.copytree(os.path.dirname(hopf.__file__), mutant,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = (mutant / "hopf.py").read_text()
+    weighted = "quasi_shuffle(s, shift(t, len(s)), -1)"
+    assert source.count(weighted) == 1
+    (mutant / "hopf.py").write_text(source.replace(weighted, weighted.replace("-1", "0")))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        mut = importlib.import_module("wqsym_mutant.hopf")
+
+        def mutated(a, b):
+            # the copy has its own EPS, so keys cross over as text
+            a, b = mut.text_to_comp(comp_to_text(a)), mut.text_to_comp(comp_to_text(b))
+            return LinComb((text_to_comp(mut.comp_to_text(k)), c)
+                           for k, c in mut.rqsym_product_f(a, b).terms.items())
+
+        assert mutated((1,), (1,)) == rqsym_product_f((1,), (1,))
+        wrong = sum(mutated(a, b) != rqsym_product_f_via_m(a, b) for a, b in f_pairs(4))
+        assert wrong > 0
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "wqsym_mutant"]:
+            del sys.modules[name]
 
 
 def test_qsym_closure():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import wqsym
 from wqsym.lincomb import LinComb
 from wqsym.compositions import EPS, wcomp
+from wqsym import hopf, morphisms
 from wqsym.hopf import f_to_m_cached, report_to_json
 from wqsym.morphisms import (
     _phi2_of_product,
@@ -26,12 +27,14 @@ from wqsym.morphisms import (
     verify_surjectivity,
 )
 from wqsym.words import (
+    positive_permutations,
     quasi_shuffle,
     shift,
     shifted_quasi_shuffle,
     signed_permutations,
     standardize,
 )
+from oracles import psi_zeta
 
 
 def test_d1_examples():
@@ -127,6 +130,34 @@ def test_d2_respects_product_on_worked_example():
 
     rhs = rqsym_product_f((1, EPS), (1, EPS)).map_basis(f_to_m_cached)
     assert lhs == rhs
+
+
+def test_d1_is_psi_zeta():
+    """d1 is the Aguiar-Bergeron-Sottile map Psi_zeta of the character
+    [sigma increasing], which is built from the SSym coproduct alone: they
+    agree in the monomial basis on all 874 permutations of length <= 6."""
+    perms = [pi for n in range(7) for pi in positive_permutations(n)]
+    assert len(perms) == 874
+    for pi in perms:
+        assert d1(pi).map_basis(f_to_m_cached) == psi_zeta(pi), pi
+
+
+def test_morphism_laws_do_not_use_the_f_product(monkeypatch):
+    """The F product is built on d2 being multiplicative, so the morphism
+    laws must check d1 and d2 against the monomial product: with the F
+    product disabled they still pass, with the same counts."""
+    want = report_to_json(verify_morphism_laws(2))
+
+    def disabled(alpha, beta):
+        raise AssertionError("the morphism laws called the F product")
+
+    monkeypatch.setattr(hopf, "rqsym_product_f", disabled)
+    monkeypatch.setattr(morphisms, "rqsym_product_f", disabled, raising=False)
+    got = report_to_json(verify_morphism_laws(2))
+    assert got == want
+    assert got["summary"]["status"] == "pass"
+    assert {law["law"] for law in got["checks"] if law["checked"]} >= {
+        "d2 is multiplicative", "d1 is multiplicative"}
 
 
 # The pruned phi2 of a product against the reference: phi2 applied to
