@@ -176,8 +176,9 @@ def tensor_bimap(t, f, g):
 
 
 def format_coeff(c):
-    """Rational to text, '1/1' collapsing to '1'."""
-    return str(Fraction(c))
+    """Rational to text.  ``str`` of an int or a Fraction is already
+    canonical, and a Fraction with denominator 1 prints as an int."""
+    return str(c)
 
 
 def parse_coeff(text):

@@ -9,10 +9,13 @@ pairs.
 
 The generating function Gamma(P) sums, over all P-partitions, the
 monomial with exponent 1 on x_{f(i)} for positive labels i and exponent
-epsilon for negative ones.  Generating functions live in a polynomial
-ring truncated to k variables whose exponents add in the monoid
-{0, e, 1, 2, ...}; truncation at k at least the combined total weight of
-the identities under test keeps them faithful.
+epsilon for negative ones.  ``gamma`` counts those monomials with an
+odometer over the values that keeps one exponent tuple up to date, and
+builds no partition; the sum over the partitions that
+``enumerate_ppartitions`` lists is the test oracle.  Generating functions
+live in a polynomial ring truncated to k variables whose exponents add in
+the monoid {0, e, 1, 2, ...}; truncation at k at least the combined total
+weight of the identities under test keeps them faithful.
 """
 from __future__ import annotations
 
@@ -178,6 +181,14 @@ def parse_poset(text):
     return Poset(sorted(labels, key=abs), covers)
 
 
+def _lower_covers(poset):
+    """Per position of ``poset.order``: a (position of a lower cover, 1 if
+    strict else 0) pair for each of its lower covers."""
+    position = {a: p for p, a in enumerate(poset.order)}
+    return [[(position[a], int(a > max(0, el))) for a in poset._below[el]]
+            for el in poset.order]
+
+
 def enumerate_ppartitions(poset, k):
     """All maps labels -> [k] weakly increasing along covers, strict when
     the lower label exceeds max(0, upper label).
@@ -192,10 +203,7 @@ def enumerate_ppartitions(poset, k):
     n = len(order)
     if not n:
         return [{}]
-    position = {a: p for p, a in enumerate(order)}
-    # per position: (position of a lower cover, 1 if strict else 0)
-    lower = [[(position[a], int(a > max(0, el))) for a in poset._below[el]]
-             for el in order]
+    lower = _lower_covers(poset)
     values = [0] * n
 
     def least(p):
@@ -260,12 +268,6 @@ class Series(LinComb):
     def one(cls, k):
         return cls.wrap(k, {(0,) * k: 1})
 
-    @classmethod
-    def monomial(cls, k, assignment):
-        """Product of x_{value}^{1 or e} over (sign, value) pairs: value
-        in [k], exponent e when the carried label is negative."""
-        return cls.wrap(k, {_exponents(k, assignment): 1})
-
     def __eq__(self, other):
         return isinstance(other, Series) and self.k == other.k and self.terms == other.terms
 
@@ -273,13 +275,19 @@ class Series(LinComb):
         return hash((self.k, frozenset(self.terms.items())))
 
     def __mul__(self, other):
+        """Product of series, or a scalar multiple.
+
+        Exponents add in the monoid, coordinate by coordinate; a 0 is the
+        unit, so each left term lists its nonzero coordinates once and
+        adds only those into a copy of every right exponent tuple.
+        """
         if not isinstance(other, Series):
             return self.scale(other)
         assert self.k == other.k
         out = {}
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            accumulate(out, ((tuple(map(ntilde_add, e1, e2)), c2)
-                             for e2, c2 in other.terms.items()), c1)
+            accumulate(out, _shifted(right, [(i, x) for i, x in enumerate(e1) if x != 0]), c1)
         return Series.wrap(self.k, out)
 
     def restrict(self, k2):
@@ -329,22 +337,76 @@ class Series(LinComb):
         return f"Series(k={self.k}, {self.to_text()})"
 
 
-def _exponents(k, assignment):
-    """Exponent tuple of the product of x_{value}^{1 or e} over (label,
-    value) pairs: exponent e when the label is negative."""
-    exps = [0] * k
-    for label, value in assignment:
-        exps[value - 1] = ntilde_add(exps[value - 1], 1 if label > 0 else EPS)
-    return tuple(exps)
+def _shifted(terms, nonzero):
+    """The (exponents, coefficient) pairs of ``terms`` with the exponent x
+    added at coordinate i for every (i, x) of ``nonzero``."""
+    for e, c in terms:
+        e = list(e)
+        for i, x in nonzero:
+            e[i] = ntilde_add(e[i], x)
+        yield tuple(e), c
 
 
 def gamma(poset, k):
     """Generating function of signed P-partitions, truncated to k
-    variables."""
+    variables.
+
+    Counts the exponent tuples with the odometer of
+    ``enumerate_ppartitions`` and never builds a partition: one exponent
+    list follows the values, each placed position adding x_{value}^{1 or
+    e} to it and keeping the exponent it overwrote, to put back when it
+    moves (the idiom of ``expand_f``).
+    """
+    if k < 0:
+        raise ValueError("need a nonnegative number of values")
+    order = poset.order
+    n = len(order)
+    if not n:
+        return Series.one(k)
+    lower = _lower_covers(poset)
+    # per position: the exponent its label puts on x_{value}
+    pattern = [1 if el > 0 else EPS for el in order]
+    values = [0] * n
+
+    def least(p):
+        lo = 1
+        for q, strict in lower[p]:
+            if values[q] + strict > lo:
+                lo = values[q] + strict
+        return lo
+
     out = {}
-    for f in enumerate_ppartitions(poset, k):
-        exps = _exponents(k, f.items())
-        out[exps] = out.get(exps, 0) + 1
+    exps = [0] * k
+    saved = [None] * n  # the exponent a placed position overwrote
+    last = n - 1
+    p = 0
+    while p >= 0:
+        if p == last:
+            # the last position runs through its values in one go
+            exp = pattern[p]
+            for value in range(least(p), k + 1):
+                old = exps[value - 1]
+                exps[value - 1] = ntilde_add(old, exp)
+                key = tuple(exps)
+                out[key] = out.get(key, 0) + 1
+                exps[value - 1] = old
+            p -= 1
+            continue
+        old = saved[p]
+        if old is None:
+            value = least(p)
+        else:
+            value = values[p]
+            exps[value - 1] = old
+            value += 1
+        if value > k:
+            saved[p] = None
+            p -= 1
+            continue
+        values[p] = value
+        saved[p] = exps[value - 1]
+        exps[value - 1] = ntilde_add(saved[p], pattern[p])
+        p += 1
     return Series.wrap(k, out)
 
 

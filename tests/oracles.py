@@ -7,8 +7,8 @@ the plain descent set of a signed word, the multinomial counts of
 all-negative products, a second bullet for the quasi-shuffle laws, the
 shifted product with every term standardized, the product of
 fundamentals through the monomial basis, the Aguiar-Bergeron-Sottile map
-Psi_zeta into QSym, and the statistics, refinement order and
-concatenations of compositions.
+Psi_zeta into QSym, the coordinatewise product of truncated series, and
+the statistics, refinement order and concatenations of compositions.
 None of them is used by the library itself.
 """
 from __future__ import annotations
@@ -21,12 +21,14 @@ from wqsym.compositions import (
     EPS,
     descent_set as comp_descent_set,
     eps_runs,
+    ntilde_add,
     refinement_terms,
     star_product,
     total_weight,
 )
 from wqsym.hopf import context_by_name, f_to_m, m_to_f
 from wqsym.lincomb import LinComb, lc_mul
+from wqsym.ppartitions import Series
 from wqsym.words import quasi_shuffle, shift, sign_bullet, standardize
 
 
@@ -182,6 +184,16 @@ def psi_zeta(pi):
                        for alpha, cm in psi(b).terms.items())
 
     return psi(tuple(pi))
+
+
+def series_product_reference(a, b):
+    """Product of truncated series adding every coordinate of every pair of
+    exponent tuples, zeros included: the reference for the product that
+    adds only the nonzero coordinates of the left term."""
+    assert a.k == b.k
+    return Series(a.k, ((tuple(map(ntilde_add, e1, e2)), c1 * c2)
+                        for e1, c1 in a.terms.items()
+                        for e2, c2 in b.terms.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,22 @@ from wqsym.ppartitions import (
 from wqsym.lincomb import LinComb
 from wqsym.words import shifted_quasi_shuffle, signed_permutations
 
+from oracles import series_product_reference
+
 
 # reference implementations: the plain versions the library's fast paths
 # are checked against
 
 
 def gamma_reference(poset, k):
-    """Gamma as the sum of one monomial per P-partition."""
+    """Gamma as the sum of one monomial per P-partition: x_{f(a)} for a
+    positive label a, x_{f(a)}^e for a negative one."""
     out = Series.zero(k)
     for f in enumerate_ppartitions(poset, k):
-        out = out + Series.monomial(k, f.items())
+        exps = [0] * k
+        for label, value in f.items():
+            exps[value - 1] = ntilde_add(exps[value - 1], 1 if label > 0 else EPS)
+        out = out + Series(k, {tuple(exps): 1})
     return out
 
 
@@ -211,12 +217,29 @@ def test_linear_extensions_of_a_deep_chain():
 
 def test_gamma_matches_the_monomial_sum():
     rng = random.Random(3)
-    posets = [Poset([]), FORK] + [random_poset(rng, 5) for _ in range(120)]
+    posets = [Poset([]), FORK] + [random_poset(rng, 7) for _ in range(120)]
+    # antichains and chains with mixed signs, whose partitions overlap most
+    # and least
+    for word in [(1,), (-1,), (1, -2), (-1, -2), (1, -2, 3), (-1, 2, -3, 4),
+                 (-3, -1, 2, -4, 5)]:
+        posets += [Poset(word), chain_poset(word), chain_poset(word[::-1])]
     for poset in posets:
-        for k in range(1, 6):
+        for k in range(6):
             got = gamma(poset, k)
             assert got == gamma_reference(poset, k), (poset, k)
             assert all(got.terms.values())
+
+
+def test_gamma_needs_a_nonnegative_number_of_values():
+    for poset in (Poset([]), Poset([-1]), FORK):
+        with pytest.raises(ValueError):
+            gamma(poset, -1)
+
+
+def test_gamma_of_a_deep_chain():
+    # one partition per place of the single step 1 -> 2 along 1 < ... < 3000
+    got = gamma(chain_poset(tuple(range(1, 3001))), 2)
+    assert got == Series(2, {(3000 - j, j): 1 for j in range(3001)})
 
 
 def test_gamma_combo_matches_scaled_gamma_words():
@@ -344,6 +367,40 @@ def test_series_monoid_exponent_rules():
     assert a * b == b * a
     c = Series(2, {(0, 1): 1})
     assert (a * b) * c == a * (b * c)
+
+
+def random_series(rng, k):
+    """A seeded random series: entries 0, e and small ints, int or Fraction
+    coefficients."""
+    entries = [0, 0, 0, EPS, EPS, 1, 2, 3]
+    terms = []
+    for _ in range(rng.randint(0, 4)):
+        exps = tuple(rng.choice(entries) for _ in range(k))
+        coeff = rng.randint(-3, 3)
+        if rng.random() < 0.5:
+            coeff = Fraction(coeff, rng.randint(1, 4))
+        terms.append((exps, coeff))
+    return Series(k, terms)
+
+
+def test_series_product_matches_the_coordinatewise_reference():
+    rng = random.Random(17)
+    for k in range(9):
+        fixed = [Series.zero(k), Series.one(k),
+                 Series(k, {(EPS,) * k: 1, (0,) * k: Fraction(-1, 2)})]
+        if k:
+            # (1 - x1^e) x1^e = x1^e - x1^e cancels, since x^e x^e = x^e
+            x1_eps = Series(k, {(EPS,) + (0,) * (k - 1): 1})
+            fixed += [x1_eps, Series.one(k) - x1_eps]
+            assert fixed[-1] * fixed[-2] == Series.zero(k)
+        cases = [(a, b) for a in fixed for b in fixed]
+        cases += [(random_series(rng, k), random_series(rng, k)) for _ in range(150)]
+        cases += [(a, random_series(rng, k)) for a in fixed for _ in range(10)]
+        cases += [(random_series(rng, k), a) for a in fixed for _ in range(10)]
+        for a, b in cases:
+            got = a * b
+            assert got == series_product_reference(a, b), (a, b)
+            assert all(got.terms.values())
 
 
 def test_series_arithmetic_keeps_the_kind():
