@@ -7,7 +7,7 @@ epsilon ('empty' for the empty one), and rationals as 'p/q'.  Output is
 JSON by default, '--format text' for a human rendering.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
-2 on malformed input.
+2 on malformed input or when the output cannot be written.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .laws import merge_reports, report_to_json
 from .lincomb import lincomb_to_json, lincomb_to_text
@@ -26,6 +27,26 @@ from . import hopf, morphisms, ppartitions
 
 class CLIError(Exception):
     pass
+
+
+def _listing_text(listing):
+    """``json.dumps(listing, indent=2)`` of a term listing, the dict of
+    ``lincomb_to_json`` or ``Series.to_json``, written in one pass.
+    ``indent`` switches ``json.dumps`` to its pure-Python encoder, which
+    costs more than most of the results it prints.  Each term is a dict of
+    two strings, or of a string and a list of strings."""
+    terms = []
+    for (name, coeff), (key_name, key) in map(dict.items, listing["terms"]):
+        if isinstance(key, list):
+            key = "[\n        %s\n      ]" % ",\n        ".join(map(_quote, key)) if key else "[]"
+        else:
+            key = _quote(key)
+        terms.append('    {\n      %s: %s,\n      %s: %s\n    }'
+                     % (_quote(name), _quote(coeff), _quote(key_name), key))
+    head = '{\n  "k": %d,\n' % listing["k"] if "k" in listing else "{\n"
+    if not terms:
+        return head + '  "terms": []\n}'
+    return head + '  "terms": [\n' + ",\n".join(terms) + "\n  ]\n}"
 
 
 def _emit(lc, ctx, fmt, tensor=False):
@@ -37,14 +58,14 @@ def _emit(lc, ctx, fmt, tensor=False):
         print(lincomb_to_text(lc, encode))
     else:
         encode = (lambda kk: list(map(ctx.key_text, kk))) if tensor else ctx.key_text
-        print(json.dumps(lincomb_to_json(lc, encode), indent=2))
+        print(_listing_text(lincomb_to_json(lc, encode)))
 
 
 def _emit_series(series, fmt):
     if fmt == "text":
         print(series.to_text())
     else:
-        print(json.dumps(series.to_json(), indent=2))
+        print(_listing_text(series.to_json()))
 
 
 def _at_least(value, low, flag):
@@ -255,9 +276,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
     except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader of stdout has gone; send what is still buffered to
+        # devnull, so that the flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -3,13 +3,20 @@
 import concurrent.futures
 import json
 import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
 from wqsym import morphisms
-from wqsym.cli import build_parser, main
+from wqsym.cli import _listing_text, build_parser, main
+from wqsym.compositions import EPS
+from wqsym.hopf import ALGEBRAS, context_by_name
 from wqsym.laws import Law, run_laws
-from wqsym.lincomb import lincomb_from_json
+from wqsym.lincomb import LinComb, lincomb_from_json, lincomb_to_json
+from wqsym.ppartitions import Series, expand_f, expand_m
 from wqsym.words import text_to_perm
 from wqsym.compositions import text_to_comp
 
@@ -280,3 +287,61 @@ def test_text_format_rendering(capsys):
     assert out.strip() == (
         "-1*F[2,e] - 1*F[1,1,e] + 2*F[2,e,e] + 2*F[1,e,1,e] + 2*F[1,1,e,e]"
     )
+
+
+def term_listings():
+    """Listings of every shape the CLI prints, from seeded random elements:
+    words with ``id``, compositions with ``empty`` and ``e`` parts, tensor
+    keys, int and Fraction coefficients of both signs, zero combinations,
+    and series with epsilon exponents."""
+    rng = random.Random(7)
+    scalars = (1, -1, 12, -3, Fraction(2, 3), Fraction(-5, 4))
+    for name in ALGEBRAS:
+        ctx = context_by_name(name, Fraction(-1, 2) if name == "hsym" else -1)
+        pair_text = lambda kk: [ctx.key_text(kk[0]), ctx.key_text(kk[1])]
+        keys = [key for n in range(4) for key in ctx.basis(n)]
+        for x in keys:
+            y = rng.choice(keys)
+            lc = ctx.product(x, y) - ctx.product(y, x).scale(rng.choice(scalars))
+            yield lincomb_to_json(lc, ctx.key_text)
+            yield lincomb_to_json(ctx.coproduct(x).scale(rng.choice(scalars)), pair_text)
+            yield lincomb_to_json(ctx.antipode(x), ctx.key_text)
+            yield lincomb_to_json(LinComb.single(x, rng.choice(scalars)), ctx.key_text)
+        yield lincomb_to_json(LinComb.zero(), ctx.key_text)
+        yield lincomb_to_json(LinComb.zero(), pair_text)
+    for k in (1, 2, 3):
+        yield Series.zero(k).to_json()
+        yield Series.one(k).to_json()
+        for alpha in [(EPS,), (1, EPS), (EPS, 2, EPS), (2, 1), (1, EPS, 1)]:
+            yield expand_m(alpha, k).to_json()
+            yield (expand_f(alpha, k) * rng.choice(scalars)).to_json()
+
+
+def test_listing_writer_matches_json_dumps():
+    """The CLI's one-pass writer against its reference, json.dumps."""
+    texts = [(_listing_text(listing), json.dumps(listing, indent=2))
+             for listing in term_listings()]
+    assert len(texts) > 500
+    for text, reference in texts:
+        assert text == reference
+    every = "".join(text for text, _ in texts)
+    for shape in ('"id"', '"empty"', ',e', '"-1/2"', '"terms": []', '"exps": [', '"e"'):
+        assert shape in every
+
+
+def test_closed_stdout_exits_two_without_traceback():
+    """A reader that stops early: the output is larger than a pipe buffer,
+    and the read end is closed before the CLI writes."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wqsym.cli", "expand", "--basis", "f", "--vars", "8",
+             "e,1,e,2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err and "Exception ignored" not in err

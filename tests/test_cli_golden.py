@@ -3,9 +3,11 @@
 Each case runs in both output formats and is compared with the file
 ``tests/golden/cli/<case>.<json|txt>``.  The files were written by this
 module's ``capture`` before the ``Series``/``LinComb`` fold, so they pin
-the output of that code.  To record a new file after a deliberate change
-of output, run ``PYTHONPATH=src python tests/test_cli_golden.py`` and
-check that the diff shows only the intended change.
+the output of that code; ``map-phi2-zero`` and ``coproduct-hsym-id`` were
+written while ``json.dumps`` still printed every listing.  To record a
+new file after a deliberate change of output, run
+``PYTHONPATH=src python tests/test_cli_golden.py`` and check that the
+diff shows only the intended change.
 """
 
 import contextlib
@@ -51,11 +53,14 @@ for name, lam, x in [
 for algebra, x in [("hsym", "-2,3,-1"), ("ssym", "3,1,2"), ("rqsym-m", "e,2,e"),
                    ("rqsym-f", "1,e,1"), ("qsym", "2,1,1")]:
     CASES[f"coproduct-{algebra}"] = ("coproduct", "--algebra", algebra, x)
+CASES["coproduct-hsym-id"] = ("coproduct", "--algebra", "hsym", "id")
 CASES["convert-f-to-m"] = ("convert", "--from", "f", "--to", "m", "e,1,e,2")
 CASES["convert-m-to-f"] = ("convert", "--from", "m", "--to", "f", "e,1,e,2")
 for which, x in [("d1", "3,1,4,2"), ("d2", "-3,1,-4,2"), ("phi1M", "1,e"),
                  ("phi1F", "e,2,1"), ("phi2", "-3,1,2,-4")]:
     CASES[f"map-{which}"] = ("map", "--which", which, x)
+# a +-+ word: phi2 sends it to 0, the only zero LinComb listing
+CASES["map-phi2-zero"] = ("map", "--which", "phi2", "1,-2,3")
 CASES["expand-m"] = ("expand", "--basis", "m", "--vars", "4", "e,2,e")
 CASES["expand-f"] = ("expand", "--basis", "f", "--vars", "3", "e,1,1,e")
 for poset, k in [("fork", "3"), ("chain", "4"), ("antichain", "2"), ("zero", "2")]:
