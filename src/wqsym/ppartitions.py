@@ -9,13 +9,19 @@ pairs.
 
 The generating function Gamma(P) sums, over all P-partitions, the
 monomial with exponent 1 on x_{f(i)} for positive labels i and exponent
-epsilon for negative ones.  ``gamma`` counts those monomials with an
-odometer over the values that keeps one exponent tuple up to date, and
-builds no partition; the sum over the partitions that
-``enumerate_ppartitions`` lists is the test oracle.  Generating functions
-live in a polynomial ring truncated to k variables whose exponents add in
-the monoid {0, e, 1, 2, ...}; truncation at k at least the combined total
-weight of the identities under test keeps them faithful.
+epsilon for negative ones.  One odometer over the values, which keeps one
+exponent tuple up to date and builds no partition, counts those
+monomials two ways:
+
+* ``gamma`` truncates Gamma(P) to k variables, a ``Series`` whose
+  exponents add in the monoid {0, e, 1, 2, ...}; the sum over the
+  partitions that ``enumerate_ppartitions`` lists is its test oracle;
+* ``gamma_m`` gives Gamma(P) exactly, in the monomial basis of RQSym,
+  from the packed P-partitions; truncated to k variables it is
+  ``gamma``.
+
+The verification suite checks the identities of Gamma exactly, in the
+monomial basis.
 """
 from __future__ import annotations
 
@@ -23,8 +29,9 @@ import heapq
 import itertools
 import random
 
-from .lincomb import LinComb, accumulate, format_coeff, parse_coeff
-from .compositions import EPS, descent_set, eps_runs, ntilde_add, wcomp
+from .lincomb import LinComb, accumulate, format_coeff, lc_mul, parse_coeff
+from .compositions import EPS, descent_set, eps_runs, ntilde_add, star_product, wcomp
+from .hopf import f_to_m
 from .laws import Law, graded_tuples, run_laws
 from .words import (
     perm_to_text,
@@ -347,26 +354,36 @@ def _shifted(terms, nonzero):
         yield tuple(e), c
 
 
-def gamma(poset, k):
-    """Generating function of signed P-partitions, truncated to k
-    variables.
+def _exponent_counts(poset, k, packed=False):
+    """The number of P-partitions of ``poset`` with values in 1..k that
+    give each exponent tuple (length k).
 
-    Counts the exponent tuples with the odometer of
-    ``enumerate_ppartitions`` and never builds a partition: one exponent
-    list follows the values, each placed position adding x_{value}^{1 or
-    e} to it and keeping the exponent it overwrote, to put back when it
-    moves (the idiom of ``expand_f``).
+    Runs the odometer of ``enumerate_ppartitions`` but builds no
+    partition: one exponent list follows the values, each placed position
+    adding x_{value}^{1 or e} to it and keeping the exponent it overwrote,
+    to put back when it moves (the idiom of ``expand_f``).
+
+    ``packed`` keeps only the partitions whose values are exactly 1..l for
+    some l, and needs k = |P|.  The walk turns back as soon as the gaps
+    below the largest value placed outnumber the positions left to fill
+    them, and the last position, which must fill the gap if one is left,
+    takes only values that leave none.  So every partition counted is
+    packed, and each exponent tuple is nonzero exactly on a prefix.
     """
     if k < 0:
         raise ValueError("need a nonnegative number of values")
     order = poset.order
     n = len(order)
     if not n:
-        return Series.one(k)
+        return {(0,) * k: 1}
     lower = _lower_covers(poset)
     # per position: the exponent its label puts on x_{value}
     pattern = [1 if el > 0 else EPS for el in order]
     values = [0] * n
+    # packed: per position, the distinct values placed before it and the
+    # largest of them
+    used = [0] * n
+    peak = [0] * n
 
     def least(p):
         lo = 1
@@ -384,7 +401,12 @@ def gamma(poset, k):
         if p == last:
             # the last position runs through its values in one go
             exp = pattern[p]
-            for value in range(least(p), k + 1):
+            # packed: only values that leave no gap, so none above the
+            # distinct values placed plus one, and the gap if one is left
+            run = range(least(p), (used[p] + 1 if packed else k) + 1)
+            if packed and peak[p] > used[p]:
+                run = [value for value in run if not exps[value - 1]]
+            for value in run:
                 old = exps[value - 1]
                 exps[value - 1] = ntilde_add(old, exp)
                 key = tuple(exps)
@@ -404,22 +426,34 @@ def gamma(poset, k):
             p -= 1
             continue
         values[p] = value
-        saved[p] = exps[value - 1]
-        exps[value - 1] = ntilde_add(saved[p], pattern[p])
+        old = saved[p] = exps[value - 1]
+        exps[value - 1] = ntilde_add(old, pattern[p])
         p += 1
-    return Series.wrap(k, out)
+        if packed:
+            used[p] = used[p - 1] + (not old)
+            peak[p] = max(peak[p - 1], value)
+            if peak[p] - used[p] > n - p:
+                p -= 1
+    return out
 
 
-def gamma_word(word, k):
-    return gamma(chain_poset(word), k)
+def gamma(poset, k):
+    """Generating function of signed P-partitions, truncated to k
+    variables, counted by ``_exponent_counts``."""
+    return Series.wrap(k, _exponent_counts(poset, k))
 
 
-def gamma_combo(lc, k):
-    """Linear extension of gamma to combinations of signed permutations."""
-    out = {}
-    for word, coeff in lc.terms.items():
-        accumulate(out, gamma_word(word, k).terms.items(), coeff)
-    return Series.wrap(k, out)
+def gamma_m(poset):
+    """Gamma(P) in the monomial basis of RQSym, with no truncation.
+
+    Every P-partition is the packed P-partition of its distinct values,
+    followed by an increasing map of 1..l into the variables (Stanley's
+    compression), so Gamma(P) = sum_alpha c_alpha M_alpha, with c_alpha
+    the number of packed P-partitions, with values exactly 1..l(alpha),
+    whose exponent tuple is alpha.
+    """
+    return LinComb.wrap({exps[:len(exps) - exps.count(0)]: c
+                         for exps, c in _exponent_counts(poset, len(poset), True).items()})
 
 
 def expand_m(alpha, k):
@@ -523,15 +557,18 @@ def _assignments_as_set(partitions):
 def verify_gamma_identities(max_len=3, k=6, pair_len=4, pair_k=8,
                             random_cases=50, random_k=4, seed=20240601,
                             shard=(0, 1)):
-    """The generating-function identities, checked as truncated series.
+    """The generating-function identities.  The first three are checked
+    exactly, in the monomial basis of RQSym through ``gamma_m``, so they
+    no longer read ``k`` and ``pair_k``:
 
     * Gamma(pi) equals the fundamental function of wcomp(pi) for every
-      signed permutation of length <= max_len, at k variables;
+      signed permutation of length <= max_len;
     * Gamma is multiplicative for the weight -1 product on pairs of
-      combined length <= pair_len, at pair_k variables;
+      combined length <= pair_len, the product of monomial functions
+      being ``star_product``;
     * Gamma of a disjoint union factors, on random poset pairs;
-    * the partitions of a poset are the union of the partitions of its
-      linear extensions, on random posets.
+    * the partitions of a poset with values in 1..random_k are the union
+      of the partitions of its linear extensions, on random posets.
     """
     perms = [list(signed_permutations(n)) for n in range(max(max_len, pair_len) + 1)]
 
@@ -539,6 +576,13 @@ def verify_gamma_identities(max_len=3, k=6, pair_len=4, pair_k=8,
     union_cases = [(random_poset(rng, 3, range(1, 5)), random_poset(rng, 3, range(5, 9)))
                    for _ in range(random_cases)]
     extension_cases = [(random_poset(rng, 4),) for _ in range(random_cases)]
+
+    words = {}  # Gamma of each signed permutation met, for this call only
+
+    def gamma_word(pi):
+        if pi not in words:
+            words[pi] = gamma_m(chain_poset(pi))
+        return words[pi]
 
     def extensions(p):
         st, _ = p.standardize()
@@ -552,13 +596,13 @@ def verify_gamma_identities(max_len=3, k=6, pair_len=4, pair_k=8,
 
     return run_laws([
         Law("Gamma(pi) = F_{wcomp(pi)}", graded_tuples(perms, 1, max_len),
-            lambda pi: gamma_word(pi, k) == expand_f(wcomp(pi), k), perm_to_text),
+            lambda pi: gamma_word(pi) == f_to_m(wcomp(pi)), perm_to_text),
         Law("Gamma(sigma) Gamma(tau) = Gamma(sigma * tau)", graded_tuples(perms, 2, pair_len),
-            lambda s, t: (gamma_word(s, pair_k) * gamma_word(t, pair_k)
-                          == gamma_combo(shifted_quasi_shuffle(s, t, -1), pair_k)),
+            lambda s, t: (lc_mul(gamma_word(s), gamma_word(t), star_product)
+                          == shifted_quasi_shuffle(s, t, -1).map_basis(gamma_word)),
             perm_to_text),
         Law("Gamma(P u Q) = Gamma(P) Gamma(Q)", union_cases,
-            lambda p, q: gamma(p.disjoint_union(q), random_k)
-            == gamma(p, random_k) * gamma(q, random_k), repr),
+            lambda p, q: gamma_m(p.disjoint_union(q))
+            == lc_mul(gamma_m(p), gamma_m(q), star_product), repr),
         Law("A(P) = union of A(pi) over linear extensions", extension_cases, extensions, repr),
     ], shard)

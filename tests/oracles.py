@@ -27,8 +27,8 @@ from wqsym.compositions import (
     total_weight,
 )
 from wqsym.hopf import context_by_name, f_to_m, m_to_f
-from wqsym.lincomb import LinComb, lc_mul
-from wqsym.ppartitions import Series
+from wqsym.lincomb import LinComb, accumulate, lc_mul
+from wqsym.ppartitions import Series, chain_poset, gamma
 from wqsym.words import quasi_shuffle, shift, sign_bullet, standardize
 
 
@@ -194,6 +194,20 @@ def series_product_reference(a, b):
     return Series(a.k, ((tuple(map(ntilde_add, e1, e2)), c1 * c2)
                         for e1, c1 in a.terms.items()
                         for e2, c2 in b.terms.items()))
+
+
+def gamma_word(word, k):
+    """Gamma of a signed permutation, truncated to k variables."""
+    return gamma(chain_poset(word), k)
+
+
+def gamma_combo(lc, k):
+    """Linear extension of gamma_word to combinations of signed
+    permutations."""
+    out = {}
+    for word, coeff in lc.terms.items():
+        accumulate(out, gamma_word(word, k).terms.items(), coeff)
+    return Series.wrap(k, out)
 
 
 # ---------------------------------------------------------------------------

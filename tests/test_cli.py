@@ -145,14 +145,25 @@ def test_gamma_on_deep_and_cyclic_posets(tmp_path, capsys):
 
 
 def test_gamma_suite_at_degree_zero(capsys):
-    """Degree 0 asks for Gamma at zero variables, where only the empty
-    poset has a P-partition."""
+    """Degree 0 checks the exact laws on the empty permutation and on the
+    pairs of combined length at most 1."""
     code, out, _ = run(capsys, "verify", "--suite", "gamma", "--max-degree", "0")
     assert code == 0
     report = json.loads(out)
     assert report["summary"] == {"suite": "gamma", "max_degree": 0, "total": 106,
                                  "failed": 0, "status": "pass"}
     assert all(check["status"] == "pass" for check in report["checks"])
+
+
+def test_gamma_suite_at_degree_four_for_any_split(capsys):
+    args = ("verify", "--suite", "gamma", "--max-degree", "4")
+    code, solo, _ = run(capsys, *args, "--jobs", "1")
+    assert code == 0
+    report = json.loads(solo)
+    assert [check["checked"] for check in report["checks"]] == [443, 11161, 50, 50]
+    assert all(check["status"] == "pass" for check in report["checks"])
+    code, duo, _ = run(capsys, *args, "--jobs", "2")
+    assert code == 0 and duo == solo
 
 
 def test_parse_errors_exit_two(capsys):

@@ -1,7 +1,12 @@
-"""Posets, signed P-partitions, and truncated generating functions."""
+"""Posets, signed P-partitions, and their generating functions, truncated
+and in the monomial basis."""
 
+import importlib
 import itertools
+import os
 import random
+import shutil
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +20,10 @@ from wqsym.compositions import (
     regularized_compositions,
     wcomp,
 )
+import wqsym
+from wqsym import ppartitions
 from wqsym.hopf import report_to_json
+from wqsym.laws import graded_tuples
 from wqsym.ppartitions import (
     Poset,
     Series,
@@ -24,16 +32,15 @@ from wqsym.ppartitions import (
     expand_f,
     expand_m,
     gamma,
-    gamma_combo,
-    gamma_word,
+    gamma_m,
     parse_poset,
     random_poset,
     verify_gamma_identities,
 )
-from wqsym.lincomb import LinComb
+from wqsym.lincomb import LinComb, accumulate
 from wqsym.words import shifted_quasi_shuffle, signed_permutations
 
-from oracles import series_product_reference
+from oracles import gamma_combo, gamma_word, series_product_reference
 
 
 # reference implementations: the plain versions the library's fast paths
@@ -240,6 +247,80 @@ def test_gamma_of_a_deep_chain():
     # one partition per place of the single step 1 -> 2 along 1 < ... < 3000
     got = gamma(chain_poset(tuple(range(1, 3001))), 2)
     assert got == Series(2, {(3000 - j, j): 1 for j in range(3001)})
+
+
+def truncate_m(lc, k):
+    """A combination of monomial functions, truncated to k variables."""
+    out = {}
+    for alpha, c in lc.terms.items():
+        accumulate(out, expand_m(alpha, k).terms.items(), c)
+    return Series.wrap(k, out)
+
+
+def test_gamma_m_truncates_to_gamma():
+    rng = random.Random(23)
+    posets = [random_poset(rng, 6) for _ in range(300)]
+    assert max(map(len, posets)) == 6
+    for poset in posets:
+        got = gamma_m(poset)
+        assert all(got.terms.values())
+        for k in (1, 3, 5, 7):
+            assert truncate_m(got, k) == gamma(poset, k), (poset, k)
+    assert gamma_m(Poset([])) == LinComb.single(())
+
+
+def test_gamma_m_of_an_antichain_prunes_its_walk(monkeypatch):
+    """The antichain on 7 labels has one packed P-partition per ordered set
+    partition of its labels, 47,293 in all.  Each placed value costs one
+    monoid addition: the pruned walk places 116,369 values, far fewer than
+    the 7^7 = 823,543 maps that gamma(P, 7) runs through."""
+    placed = []
+
+    def counting_add(a, b):
+        placed.append(None)
+        return ntilde_add(a, b)
+
+    monkeypatch.setattr(ppartitions, "ntilde_add", counting_add)
+    antichain = Poset([1, -2, 3, -4, 5, -6, 7])
+    got = gamma_m(antichain)
+    assert sum(got.terms.values()) == 47293
+    assert len(placed) < 7 ** 7 // 5
+    assert truncate_m(got, 3) == gamma(antichain, 3)
+
+
+def test_truncated_gamma_multiplicativity():
+    k = 6
+    perms = [list(signed_permutations(n)) for n in range(4)]
+    for sigma, tau in graded_tuples(perms, 2, 3):
+        lhs = gamma_word(sigma, k) * gamma_word(tau, k)
+        assert lhs == gamma_combo(shifted_quasi_shuffle(sigma, tau, -1), k), (sigma, tau)
+
+
+def test_exact_laws_catch_a_weak_strict_cover(tmp_path, monkeypatch):
+    """A copy of the package whose exponent odometer forgets the strict
+    increment across a strict cover must fail the exact laws for Gamma(pi)
+    and for products, though the second reads the odometer on both sides.
+    The union law holds for any condition that stays inside each part."""
+    mutant = tmp_path / "wqsym_mutant"
+    shutil.copytree(os.path.dirname(wqsym.__file__), mutant,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = (mutant / "ppartitions.py").read_text()
+    head, core = source.split("def _exponent_counts(")
+    core, tail = core.split("def gamma(")
+    assert core.count("values[q] + strict") == 2
+    core = core.replace("values[q] + strict", "values[q]")
+    (mutant / "ppartitions.py").write_text(head + "def _exponent_counts(" + core
+                                           + "def gamma(" + tail)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        mutated = importlib.import_module("wqsym_mutant.ppartitions")
+        report = report_to_json(mutated.verify_gamma_identities(2, 4, 3, 6))
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "wqsym_mutant"]:
+            del sys.modules[name]
+    failed = {check["law"]: check.get("failed", 0) for check in report["checks"]}
+    assert failed["Gamma(pi) = F_{wcomp(pi)}"] > 0
+    assert failed["Gamma(sigma) Gamma(tau) = Gamma(sigma * tau)"] > 0
 
 
 def test_gamma_combo_matches_scaled_gamma_words():
