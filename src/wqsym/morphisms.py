@@ -14,9 +14,10 @@ Equality on the quasi-symmetric side is always decided in the monomial
 basis after converting, which is multiplicity free.
 
 The vanishing laws rest on the shape of phi2: it is zero on every word
-that is not neg* pos+ neg?.  ``_phi2_of_product`` turns that lemma into
-pruning of the quasi-shuffle recursion, so phi2 of a weight -1 product
-builds only the words that phi2 does not kill.
+that is not neg* pos+ neg?.  ``_phi2_of_product`` computes phi2 of a
+weight -1 product by a dynamic program over the lattice-path states
+(i, j, phase) of the quasi-shuffle, each once per call, entering only the
+states that suffix tables of the factors show can still end in that shape.
 """
 from __future__ import annotations
 
@@ -219,63 +220,87 @@ def verify_morphism_laws(budget=4, shard=(0, 1)):
     ], shard)
 
 
+_INF = float("inf")
+
+
+def _suffix_tables(word):
+    """For each suffix word[i:], from one right-to-left scan: whether a
+    positive letter is left; how many negatives follow its last positive
+    (0 with none, inf past a +-+ pattern); how many negatives it holds
+    (inf when one precedes a positive)."""
+    n = len(word)
+    pos, late, rest = [False] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        if word[i] > 0:
+            pos[i], late[i], rest[i] = True, rest[i + 1], rest[i + 1]
+        else:
+            pos[i], late[i] = pos[i + 1], late[i + 1]
+            rest[i] = _INF if pos[i + 1] else n - i
+    return pos, late, rest
+
+
 def _phi2_of_product(s, t):
-    """phi2 of the weight -1 product s * t, by a pruned quasi-shuffle
-    recursion over s and t shifted past s.
+    """phi2 of the weight -1 product s * t, by a dynamic program over the
+    lattice paths of the quasi-shuffle of u = s and v = t shifted past s,
 
-    This is the vanishing lemma: phi2 is zero on every word that is not
-    of the shape neg* pos+ neg?, and shape is decided letter by letter.
-    The recursion
+        a u * b v = a (u * b v) + b (a u * v) - (a.b) (u * v).
 
-        a u * b v = a (u * b v) + b (a u * v) - (a.b) (u * v)
-
-    carries ``trail``, the shape state of the word built so far: -1 while
-    it holds only negatives, 0 inside the positive block, 1 after the one
-    trailing negative.  A branch is dropped as soon as its prefix, with
-    the letters still to come, cannot end in that shape.  Each surviving
-    word adds (-1)^trail times its coefficient at st(positive block);
-    phi2 only depends on standardization, so the termwise st of the
-    shifted product is never needed.
+    A state (i, j, phase) has spent u[:i] and v[:j]; ``phase`` is -1 while
+    the word holds only negatives, 0 inside its positive block, 1 after
+    the one trailing negative.  Its value, computed once per call in a
+    local memo, maps each positive block the rest can add to its signed
+    coefficient, so every negative prefix that reaches (i, j) shares it.
+    phi2 is zero off the shape neg* pos+ neg? (the vanishing lemma) and
+    each factor keeps its letters in order, so the suffix tables of u and
+    v decide whether a state can still end in that shape; a dead state is
+    never entered.  ``standardize`` runs once per distinct kept block.
     """
     if not s and not t:
         return LinComb.single(())
+    # the tables only read signs, so t's serve for v
+    pos_u, late_u, rest_u = _suffix_tables(s)
+    pos_v, late_v, rest_v = _suffix_tables(t)
+
+    def live(i, j, phase):
+        has_pos = pos_u[i] or pos_v[j]
+        if phase < 0:  # the block is still to come
+            tail = max(late_u[i], late_v[j]) if has_pos else _INF
+        else:  # nothing positive after the trailing negative
+            tail = phase + max(rest_u[i], rest_v[j]) if not (phase and has_pos) else _INF
+        return tail <= 1  # at most one negative after the block
+
+    if not live(0, 0, -1):
+        return LinComb.zero()
     u, v = s, shift(t, len(s))
     m, n = len(u), len(v)
-    # has_pos_u[i]: u[i:] holds a positive letter, likewise for v
-    has_pos_u = [any(a > 0 for a in u[i:]) for i in range(m + 1)]
-    has_pos_v = [any(a > 0 for a in v[j:]) for j in range(n + 1)]
-    block = []
-    out = {}
+    memo = {}
 
-    def grow(letter, i, j, trail, coeff):
-        """Append ``letter`` to a live prefix in state ``trail``, with u[i:]
-        and v[j:] still to come, and recurse if the prefix stays live."""
-        if letter > 0:
-            if trail > 0:
-                return
-            block.append(letter)
-            rec(i, j, 0, coeff)
-            block.pop()
-        elif trail < 0:
-            if has_pos_u[i] or has_pos_v[j]:
-                rec(i, j, trail, coeff)
-        elif trail < 1:  # at most one negative after the block
-            rec(i, j, trail + 1, coeff)
-
-    def rec(i, j, trail, coeff):
-        if i == m and j == n:
-            key = standardize(tuple(block))
-            out[key] = out.get(key, 0) + (-coeff if trail % 2 else coeff)
-            return
+    def value(i, j, phase):
+        key = (i, j, phase)
+        if key in memo:
+            return memo[key]
+        out = memo[key] = {} if i < m or j < n else {(): (-1) ** phase}
+        steps = []
         if i < m:
-            grow(u[i], i + 1, j, trail, coeff)
+            steps.append((u[i], i + 1, j, 1))
         if j < n:
-            grow(v[j], i, j + 1, trail, coeff)
+            steps.append((v[j], i, j + 1, 1))
             if i < m and u[i] < 0 and v[j] < 0:
-                grow(u[i], i + 1, j + 1, trail, -coeff)
+                steps.append((u[i], i + 1, j + 1, -1))
+        for letter, i2, j2, sign in steps:
+            nxt = 0 if letter > 0 else phase + (phase >= 0)
+            if live(i2, j2, nxt):
+                for block, c in value(i2, j2, nxt).items():
+                    block = (letter,) + block if letter > 0 else block
+                    out[block] = out.get(block, 0) + sign * c
+        return out
 
-    rec(0, 0, -1, 1)
-    return LinComb.wrap({k: c for k, c in out.items() if c})
+    terms = {}
+    for block, c in value(0, 0, -1).items():
+        if c:
+            key = standardize(block)
+            terms[key] = terms.get(key, 0) + c
+    return LinComb.wrap({k: c for k, c in terms.items() if c})
 
 
 def verify_annihilation(max_len=4, shard=(0, 1)):
@@ -289,10 +314,10 @@ def verify_annihilation(max_len=4, shard=(0, 1)):
       product on both sides.
 
     The first law shards its left factors and checks each against every
-    right factor.  Every product goes through ``_phi2_of_product``, which
-    applies the vanishing lemma while it builds the product: a word whose
-    prefix is not of the shape neg* pos+ neg? is never completed, so only
-    the words phi2 keeps are built.
+    right factor.  Every product goes through ``_phi2_of_product``, whose
+    dynamic program enters only the states (i, j, phase) that its suffix
+    tables show can still end in phi2's shape, each once per call.  The
+    case selection below reads the factors' shape itself, not the tables.
     """
     every = [pi for n in range(max_len + 1) for pi in signed_permutations(n)]
 

@@ -206,20 +206,65 @@ def test_pruned_phi2_of_product_matches_reference_sampled(pair):
     assert _phi2_of_product(s, t) == reference_phi2_of_product(s, t)
 
 
-def test_cross_check_catches_a_wrong_trailing_negative_limit(tmp_path, monkeypatch):
-    """A copy of the package that lets phi2 keep two trailing negatives
-    must fail the exhaustive cross-check."""
+def _mutant_fails_cross_check(tmp_path, monkeypatch, old, new):
+    """Whether a copy of the package with ``old``, which occurs once in
+    morphisms.py, replaced by ``new`` fails the exhaustive cross-check."""
     mutant = tmp_path / "wqsym_mutant"
     shutil.copytree(os.path.dirname(wqsym.__file__), mutant,
                     ignore=shutil.ignore_patterns("__pycache__"))
     source = (mutant / "morphisms.py").read_text()
-    assert source.count("trail < 1") == 1
-    (mutant / "morphisms.py").write_text(source.replace("trail < 1", "trail < 2"))
+    assert source.count(old) == 1
+    (mutant / "morphisms.py").write_text(source.replace(old, new))
     monkeypatch.syspath_prepend(str(tmp_path))
     try:
         mutated = importlib.import_module("wqsym_mutant.morphisms")._phi2_of_product
-        assert any(mutated(s, t) != reference_phi2_of_product(s, t)
+        return any(mutated(s, t) != reference_phi2_of_product(s, t)
                    for s, t in small_pairs(5))
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] == "wqsym_mutant"]:
             del sys.modules[name]
+
+
+def test_cross_check_catches_a_wrong_trailing_negative_limit(tmp_path, monkeypatch):
+    """A copy of the package that lets phi2 keep two trailing negatives
+    must fail the exhaustive cross-check."""
+    assert _mutant_fails_cross_check(tmp_path, monkeypatch, "tail <= 1", "tail <= 2")
+
+
+def test_cross_check_catches_dropped_merged_negatives(tmp_path, monkeypatch):
+    """A copy of the package whose product never merges two negative
+    letters must fail the exhaustive cross-check."""
+    assert _mutant_fails_cross_check(tmp_path, monkeypatch,
+                                     "u[i] < 0 and v[j] < 0", "False")
+
+
+def test_cancelling_annihilation_cases_match_reference(monkeypatch):
+    """The vanishing laws only assert zero.  In most of their products no
+    raw word has phi2's shape; the products whose raw words include some
+    that phi2 keeps cancel for real, and the dynamic program must compute
+    those sums.  Every such case of verify_annihilation(4) matches the
+    reference, and there are enough of them to exercise cancellation."""
+    cases = set()
+    computed = morphisms._phi2_of_product
+
+    def recording(s, t):
+        cases.add((s, t))
+        return computed(s, t)
+
+    monkeypatch.setattr(morphisms, "_phi2_of_product", recording)
+    assert report_to_json(verify_annihilation(4))["summary"]["status"] == "pass"
+    # phi2 keeps a word by the signs of its letters alone, and shift keeps
+    # signs, so one product per pair of sign patterns finds the kept words
+    keeps = {}
+
+    def has_kept_raw_word(s, t):
+        signs = (tuple(a > 0 for a in s), tuple(a > 0 for a in t))
+        if signs not in keeps:
+            raw = quasi_shuffle(s, shift(t, len(s)), -1)
+            keeps[signs] = any(phi2(w) for w in raw.terms)
+        return keeps[signs]
+
+    cancelling = [(s, t) for s, t in sorted(cases) if has_kept_raw_word(s, t)]
+    assert len(cancelling) >= 300
+    for s, t in cancelling:
+        assert computed(s, t) == reference_phi2_of_product(s, t), (s, t)
