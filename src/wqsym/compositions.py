@@ -14,10 +14,9 @@ Every regularized composition has a unique finest block form
     (e^{i_1}, s_1, e^{i_2}, s_2, ..., e^{i_k}, s_k, e^{i_{k+1}})
 
 with single positive parts s_q; ``eps_runs`` returns the run lengths and
-the positive parts, and the descent set, basis-change enumeration and
-``wcomp_preimage`` below work through it.  The statistics and the
-refinement order that the tests check these against live in the tests'
-oracles.
+the positive parts, and the descent set and basis-change enumeration
+below work through it.  The statistics and the refinement order that the
+tests check these against live in the tests' oracles.
 """
 from __future__ import annotations
 
@@ -207,46 +206,22 @@ def wcomp(pi):
 
 
 def wcomp_preimage(alpha):
-    """A signed permutation pi with wcomp(pi) = alpha.
+    """A signed permutation pi with wcomp(pi) = alpha, in one pass.
 
-    Each maximal run of positive parts becomes a positive block whose
-    descent composition is that run; epsilons become negative letters.
-    Inside a block, increasing runs of the required lengths take value
-    ranges that decrease across run boundaries, forcing descents exactly
-    at the interior partial sums.
+    Each entry takes the largest absolute values still unused: an epsilon
+    becomes one negative letter, a positive part s an increasing run of s
+    letters.  Every run lies below all the letters before it, so inside a
+    positive block the descents fall exactly at the ends of the parts.
     """
-    runs, parts = eps_runs(alpha)
-    blocks = []
-    for q in range(len(parts)):
-        if q > 0 and runs[q] == 0:
-            blocks[-1].append(parts[q])
-        else:
-            blocks.append([parts[q]])
-    words = []
-    for block in blocks:
-        word = []
-        tail = sum(block)
-        for size in block:
-            word.extend(range(tail - size + 1, tail + 1))
-            tail -= size
-        words.append(word)
-    total = total_weight(alpha)
     out = []
-    pos_base = 0
-    neg_val = total
-    bi = 0
-    idx = 0
-    while idx < len(alpha):
-        if alpha[idx] is EPS:
-            out.append(-neg_val)
-            neg_val -= 1
-            idx += 1
+    top = total_weight(alpha)
+    for part in alpha:
+        if part is EPS:
+            out.append(-top)
+            top -= 1
         else:
-            word = words[bi]
-            out.extend(pos_base + v for v in word)
-            pos_base += len(word)
-            idx += len(blocks[bi])
-            bi += 1
+            out.extend(range(top - part + 1, top + 1))
+            top -= part
     return tuple(out)
 
 

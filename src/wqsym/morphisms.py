@@ -295,8 +295,10 @@ def _phi2_of_product(s, t):
                     out[block] = out.get(block, 0) + sign * c
         return out
 
+    top = value(0, 0, -1)
+    del value  # value refers to itself through its cell; free the memo without the gc
     terms = {}
-    for block, c in value(0, 0, -1).items():
+    for block, c in top.items():
         if c:
             key = standardize(block)
             terms[key] = terms.get(key, 0) + c

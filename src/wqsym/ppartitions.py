@@ -20,6 +20,9 @@ monomials two ways:
   from the packed P-partitions; truncated to k variables it is
   ``gamma``.
 
+The same odometer expands the fundamental functions: by the paper's
+theorem Gamma(pi) = F_{wcomp(pi)}, ``expand_f`` is ``gamma`` of a chain.
+
 The verification suite checks the identities of Gamma exactly, in the
 monomial basis.
 """
@@ -30,7 +33,7 @@ import itertools
 import random
 
 from .lincomb import LinComb, accumulate, format_coeff, lc_mul, parse_coeff
-from .compositions import EPS, descent_set, eps_runs, ntilde_add, star_product, wcomp
+from .compositions import EPS, ntilde_add, star_product, wcomp, wcomp_preimage
 from .hopf import f_to_m
 from .laws import Law, graded_tuples, run_laws
 from .words import (
@@ -361,7 +364,7 @@ def _exponent_counts(poset, k, packed=False):
     Runs the odometer of ``enumerate_ppartitions`` but builds no
     partition: one exponent list follows the values, each placed position
     adding x_{value}^{1 or e} to it and keeping the exponent it overwrote,
-    to put back when it moves (the idiom of ``expand_f``).
+    to put back when it moves.
 
     ``packed`` keeps only the partitions whose values are exactly 1..l for
     some l, and needs k = |P|.  The walk turns back as soon as the gaps
@@ -474,59 +477,11 @@ def expand_f(alpha, k):
     """Fundamental weak quasi-symmetric function truncated to k
     variables.
 
-    Sums over weakly increasing tuples j_1 <= ... <= j_n, n the total
-    weight, with strict steps exactly at the descent set; position t
-    contributes exponent e inside an epsilon run and 1 inside a positive
-    part.  The tuples are run through by an odometer that counts each
-    position up from the least value the one before it allows; a placed
-    position keeps the exponent it overwrote, to put back when it moves.
+    By the paper's P-partition theorem, Gamma(pi) = F_{wcomp(pi)} for
+    every signed permutation pi, so F_alpha is Gamma of the chain of any
+    preimage of alpha under ``wcomp``.
     """
-    runs, parts = eps_runs(alpha)
-    pattern = []
-    for q, s in enumerate(parts):
-        pattern.extend([EPS] * runs[q])
-        pattern.extend([1] * s)
-    pattern.extend([EPS] * runs[-1])
-    n = len(pattern)
-    if not n:
-        return Series.one(k)
-    strict = descent_set(alpha)
-    # per position: 1 if its value must exceed the one before it
-    step = [int(t in strict) for t in range(n)]
-    out = {}
-    exps = [0] * k
-    values = [0] * n
-    saved = [None] * n  # the exponent a placed position overwrote
-    last = n - 1
-    t = 0
-    while t >= 0:
-        if t == last:
-            # the last position runs through its values in one go
-            exp = pattern[t]
-            for value in range(values[t - 1] + step[t] if t else 1, k + 1):
-                old = exps[value - 1]
-                exps[value - 1] = ntilde_add(old, exp)
-                key = tuple(exps)
-                out[key] = out.get(key, 0) + 1
-                exps[value - 1] = old
-            t -= 1
-            continue
-        old = saved[t]
-        if old is None:
-            value = values[t - 1] + step[t] if t else 1
-        else:
-            value = values[t]
-            exps[value - 1] = old
-            value += 1
-        if value > k:
-            saved[t] = None
-            t -= 1
-            continue
-        values[t] = value
-        saved[t] = exps[value - 1]
-        exps[value - 1] = ntilde_add(saved[t], pattern[t])
-        t += 1
-    return Series.wrap(k, out)
+    return gamma(chain_poset(wcomp_preimage(alpha)), k)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,7 @@ def quasi_shuffle(u, v, lam, bullet=sign_bullet):
                 pop()
 
     rec(0, 0, 1)
+    del rec  # rec refers to itself through its cell; free it without the gc
     return LinComb.wrap({w: c for w, c in out.items() if c})
 
 

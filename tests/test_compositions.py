@@ -24,7 +24,14 @@ from wqsym.compositions import (
     wcomp,
     wcomp_preimage,
 )
-from wqsym.words import quasi_shuffle, shift, signed_permutations, standardize, weak_descent_set
+from wqsym.words import (
+    is_signed_permutation,
+    quasi_shuffle,
+    shift,
+    signed_permutations,
+    standardize,
+    weak_descent_set,
+)
 from oracles import (
     concat,
     enumerate_refinements,
@@ -279,9 +286,10 @@ def test_wcomp_of_a_raw_product_word_is_wcomp_of_its_standardization():
 
 
 def test_wcomp_preimage_round_trip():
-    for w in range(5):
+    for w in range(8):
         for alpha in regularized_compositions(w):
             pi = wcomp_preimage(alpha)
+            assert is_signed_permutation(pi), alpha
             assert wcomp(pi) == alpha
 
 

@@ -1,5 +1,6 @@
 """The four surjections, the commuting square, and the vanishing laws."""
 
+import gc
 import importlib
 import itertools
 import os
@@ -184,6 +185,21 @@ def test_pruned_phi2_of_product_matches_reference_exhaustively():
     # the vanishing laws only assert zero, so the sweep must also compare
     # products that survive
     assert nonzero >= 100
+
+
+def test_products_leave_no_reference_cycles():
+    """The recursive closures of quasi_shuffle and _phi2_of_product refer
+    to themselves; each call must break that cycle, so that its memo is
+    freed when it returns rather than at the next collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        quasi_shuffle((1, -2, 3), (-4, 5), -1)
+        assert gc.collect() == 0
+        assert _phi2_of_product((-1, 2, 3), (1, -2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _signed_perm(n):

@@ -241,6 +241,9 @@ def test_gamma_needs_a_nonnegative_number_of_values():
     for poset in (Poset([]), Poset([-1]), FORK):
         with pytest.raises(ValueError):
             gamma(poset, -1)
+    for alpha in ((1,), ()):
+        with pytest.raises(ValueError):
+            expand_f(alpha, -1)
 
 
 def test_gamma_of_a_deep_chain():
