@@ -18,10 +18,10 @@ import os
 import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 
+from .compositions import EPS, text_to_comp
 from .laws import merge_reports, report_to_json
-from .lincomb import lincomb_to_json, lincomb_to_text
+from .lincomb import basis_sort_key, lincomb_to_text
 from . import hopf, morphisms, ppartitions
 
 
@@ -29,24 +29,42 @@ class CLIError(Exception):
     pass
 
 
-def _listing_text(listing):
-    """``json.dumps(listing, indent=2)`` of a term listing, the dict of
-    ``lincomb_to_json`` or ``Series.to_json``, written in one pass.
+# one term of a listing as json.dumps(indent=2) writes it, by the kind of
+# key: a basis key, a pair of basis keys, or a nonempty exponent tuple; "%s"
+# writes a coefficient by str, as format_coeff does
+_KEY = '    {\n      "coeff": "%s",\n      "key": "%s"\n    }'
+_PAIR = '    {\n      "coeff": "%s",\n      "key": [\n        "%s",\n        "%s"\n      ]\n    }'
+_EXPS = '    {\n      "coeff": "%s",\n      "exps": [\n        "%s"\n      ]\n    }'
+
+
+def _listing(lc, key_text=None, tensor=False):
+    """The text of ``json.dumps(listing, indent=2)``, written straight from
+    the terms: ``listing`` is ``lincomb_to_json(lc, encode)``, with
+    ``encode`` the key's ``key_text``, or the list of its legs' texts when
+    ``tensor`` is set; with no ``key_text``, ``lc`` is a ``Series`` in
+    k >= 1 variables, as ``--vars`` requires, and ``listing`` its
+    ``to_json()``.
+
     ``indent`` switches ``json.dumps`` to its pure-Python encoder, which
-    costs more than most of the results it prints.  Each term is a dict of
-    two strings, or of a string and a list of strings."""
-    terms = []
-    for (name, coeff), (key_name, key) in map(dict.items, listing["terms"]):
-        if isinstance(key, list):
-            key = "[\n        %s\n      ]" % ",\n        ".join(map(_quote, key)) if key else "[]"
+    costs more than most of the results it prints.  Coefficients, key
+    texts and exponents are written with digits, '-', '/', ',', 'e', 'id'
+    and 'empty' only, which JSON quotes as they are."""
+    terms = lc.terms
+    keys = sorted(terms, key=basis_sort_key)
+    if key_text is None:
+        head = '{\n  "k": %d,\n' % lc.k
+        texts = {x: "e" if x is EPS else str(x) for x in set().union(*keys)}
+        sep = '",\n        "'
+        body = [_EXPS % (terms[e], sep.join(map(texts.get, e))) for e in keys]
+    else:
+        head = "{\n"
+        if tensor:
+            body = [_PAIR % (terms[kk], key_text(kk[0]), key_text(kk[1])) for kk in keys]
         else:
-            key = _quote(key)
-        terms.append('    {\n      %s: %s,\n      %s: %s\n    }'
-                     % (_quote(name), _quote(coeff), _quote(key_name), key))
-    head = '{\n  "k": %d,\n' % listing["k"] if "k" in listing else "{\n"
-    if not terms:
+            body = [_KEY % (terms[k], key_text(k)) for k in keys]
+    if not body:
         return head + '  "terms": []\n}'
-    return head + '  "terms": [\n' + ",\n".join(terms) + "\n  ]\n}"
+    return head + '  "terms": [\n' + ",\n".join(body) + "\n  ]\n}"
 
 
 def _emit(lc, ctx, fmt, tensor=False):
@@ -57,15 +75,11 @@ def _emit(lc, ctx, fmt, tensor=False):
         encode = (lambda kk: "(x)".join(map(one, kk))) if tensor else one
         print(lincomb_to_text(lc, encode))
     else:
-        encode = (lambda kk: list(map(ctx.key_text, kk))) if tensor else ctx.key_text
-        print(_listing_text(lincomb_to_json(lc, encode)))
+        print(_listing(lc, ctx.key_text, tensor))
 
 
 def _emit_series(series, fmt):
-    if fmt == "text":
-        print(series.to_text())
-    else:
-        print(_listing_text(series.to_json()))
+    print(series.to_text() if fmt == "text" else _listing(series))
 
 
 def _at_least(value, low, flag):
@@ -128,7 +142,7 @@ def cmd_gamma(args):
 
 
 def cmd_expand(args):
-    alpha = hopf.context_by_name(f"rqsym-{args.basis}").parse_key(args.elements[0])
+    alpha = text_to_comp(args.elements[0])
     fn = ppartitions.expand_m if args.basis == "m" else ppartitions.expand_f
     _emit_series(fn(alpha, _at_least(args.vars, 1, "--vars")), args.format)
     return 0

@@ -14,29 +14,16 @@ Every regularized composition has a unique finest block form
     (e^{i_1}, s_1, e^{i_2}, s_2, ..., e^{i_k}, s_k, e^{i_{k+1}})
 
 with single positive parts s_q; ``eps_runs`` returns the run lengths and
-the positive parts, and the descent set and basis-change enumeration
-below work through it.  The statistics and the refinement order that the
-tests check these against live in the tests' oracles.
+the positive parts, and the basis-change enumeration below works through
+it.  The statistics, descent set and refinement order that the tests
+check these against live in the tests' oracles.
 """
 from __future__ import annotations
 
 from math import comb
 
+from .lincomb import EPS
 from .words import quasi_shuffle, weak_descent_set
-
-
-class _Eps:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "e"
-
-    def __reduce__(self):
-        # pickle by reference so identity checks survive worker processes
-        return "EPS"
-
-
-EPS = _Eps()
 
 
 def ntilde_add(a, b):
@@ -73,17 +60,6 @@ def eps_runs(alpha):
 
 def total_weight(alpha):
     return sum(1 if p is EPS else p for p in alpha)
-
-
-def descent_set(alpha):
-    """{b_q = sum_{j<=q} (i_j + s_j)} over the finest block form."""
-    runs, parts = eps_runs(alpha)
-    out = set()
-    b = 0
-    for i, s in zip(runs, parts):
-        b += i + s
-        out.add(b)
-    return out
 
 
 def comp_of_descents(S, n):

@@ -140,11 +140,40 @@ def rqsym_antipode_f(alpha):
     return s.map_basis(m_to_f_cached)
 
 
+def _graded_antipode(product, coproduct, degree, memo, key):
+    """The antipode of ``key`` by the recursion over the coproduct, whether
+    or not a closed form exists, with every value it computes stored in
+    ``memo``."""
+    found = memo.get(key)
+    if found is not None:
+        return found
+    deg = degree(key)
+    if deg == 0:
+        out = LinComb.single(key)
+    else:
+        terms = []
+        for (a, b), c in coproduct(key).terms.items():
+            if degree(a) < deg:
+                for ka, ca in _graded_antipode(product, coproduct, degree, memo, a).terms.items():
+                    terms.extend((k, -c * ca * cp) for k, cp in product(ka, b).terms.items())
+            else:
+                # connectedness: the only non-reduced term is key @ unit
+                assert a == key and b == () and c == 1, (key, a, b, c)
+        out = LinComb(terms)
+    memo[key] = out
+    return out
+
+
 class HopfContext:
     """A Hopf algebra presented on a basis, with finite degree strata:
-    one row of the table in ``context_by_name``.  Product, coproduct and
-    antipodes are memoized per context (the plain functions are their
-    ``__wrapped__``), so a new context starts cold."""
+    one row of the table in ``context_by_name``.
+
+    Product, coproduct and the closed-form antipode are memoized per
+    context by ``functools.cache`` (the plain functions are their
+    ``__wrapped__``), and ``graded_antipode`` is ``_graded_antipode`` bound
+    to a memo dict of its own.  No memo holds the context, so a context is
+    freed by reference counting as soon as it is dropped, and a new one
+    starts cold."""
 
     unit = ()
 
@@ -157,7 +186,8 @@ class HopfContext:
         self.product = functools.cache(product)
         self.coproduct = functools.cache(coproduct)
         self.basis = basis
-        self.graded_antipode = functools.cache(self.graded_antipode)
+        self.graded_antipode = functools.partial(
+            _graded_antipode, self.product, self.coproduct, self.degree, {})
         self._antipode = functools.cache(antipode) if antipode else self.graded_antipode
 
     def counit(self, key):
@@ -174,23 +204,6 @@ class HopfContext:
     def antipode(self, key):
         """The closed-form antipode if the row has one, else the graded one."""
         return self._antipode(key)
-
-    def graded_antipode(self, key):
-        """The antipode by the recursion over the coproduct, whether or
-        not a closed form exists."""
-        deg = self.degree(key)
-        if deg == 0:
-            return LinComb.single(key)
-        terms = []
-        for (a, b), c in self.coproduct(key).terms.items():
-            if self.degree(a) < deg:
-                for ka, ca in self.graded_antipode(a).terms.items():
-                    terms.extend((k, -c * ca * cp)
-                                 for k, cp in self.product(ka, b).terms.items())
-            else:
-                # connectedness: the only non-reduced term is key @ unit
-                assert a == key and b == self.unit and c == 1, (key, a, b, c)
-        return LinComb(terms)
 
 
 def context_by_name(name, lam=-1):

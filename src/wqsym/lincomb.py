@@ -19,25 +19,39 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def elem_key(x):
-    """Sort value of a single key entry: integers as themselves, the
-    epsilon part strictly between 0 and 1 (the monoid order 0 < e < 1).
-    The float 0.5 is exact and compares with ints in C, unlike a Fraction."""
-    return x if isinstance(x, int) else 0.5
+class _Eps:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "e"
+
+    def __reduce__(self):
+        # pickle by reference so identity checks survive worker processes
+        return "EPS"
+
+
+# the epsilon part of regularized compositions and exponent tuples, public
+# as ``compositions.EPS``; defined in this module, which imports no other
+# module of the package, because the canonical order below ranks it
+EPS = _Eps()
+
+# sort value of a key entry other than an integer: epsilon lies strictly
+# between 0 and 1 (the monoid order 0 < e < 1); the float 0.5 is exact and
+# compares with ints in C
+_RANK = {EPS: 0.5}
 
 
 def basis_sort_key(key):
     """Canonical total order on basis keys: length first, then entrywise.
 
-    Pairs of tuples (tensor keys) are ordered lexicographically by the
-    orders of their legs.
+    Tensor keys (tuples of keys) are ordered lexicographically by the
+    orders of their legs.  A flat key maps to one flat tuple, its entries
+    ranked by a C-level dict lookup, so that comparing two keys walks
+    their entries only once.
     """
-    if isinstance(key, tuple):
-        if key and isinstance(key[0], tuple):
-            return tuple(basis_sort_key(k) for k in key)
-        # flat, so that comparing two keys walks their entries only once
-        return (len(key), *map(elem_key, key))
-    return key
+    if key and type(key[0]) is tuple:
+        return tuple(map(basis_sort_key, key))
+    return (len(key), *map(_RANK.get, key, key))
 
 
 def accumulate(acc, terms, scalar=1):

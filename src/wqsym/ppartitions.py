@@ -274,10 +274,6 @@ class Series(LinComb):
     def zero(cls, k):
         return cls.wrap(k, {})
 
-    @classmethod
-    def one(cls, k):
-        return cls.wrap(k, {(0,) * k: 1})
-
     def __eq__(self, other):
         return isinstance(other, Series) and self.k == other.k and self.terms == other.terms
 

@@ -1,25 +1,26 @@
 """Test-only reference implementations.
 
 These are the independent formulas the library's products and statistics
-are checked against: the stuffle form of the quasi-shuffle product (a sum
-over pairs of order preserving injections), its right-sided recursion,
-the plain descent set of a signed word, the multinomial counts of
-all-negative products, a second bullet for the quasi-shuffle laws, the
-shifted product with every term standardized, the product of
-fundamentals through the monomial basis, the Aguiar-Bergeron-Sottile map
-Psi_zeta into QSym, the coordinatewise product of truncated series, and
-the statistics, refinement order and concatenations of compositions.
+are checked against: the canonical order on basis keys, the stuffle form
+of the quasi-shuffle product (a sum over pairs of order preserving
+injections), its right-sided recursion, the plain descent set of a signed
+word, the multinomial counts of all-negative products, a second bullet
+for the quasi-shuffle laws, the shifted product with every term
+standardized, the product of fundamentals through the monomial basis,
+the Aguiar-Bergeron-Sottile map Psi_zeta into QSym, the series 1 and the
+coordinatewise product of truncated series, and the statistics, descent
+set, refinement order and concatenations of compositions.
 None of them is used by the library itself.
 """
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from fractions import Fraction
 from math import factorial
 
 from wqsym.compositions import (
     EPS,
-    descent_set as comp_descent_set,
     eps_runs,
     ntilde_add,
     refinement_terms,
@@ -30,6 +31,21 @@ from wqsym.hopf import context_by_name, f_to_m, m_to_f
 from wqsym.lincomb import LinComb, accumulate, lc_mul
 from wqsym.ppartitions import Series, chain_poset, gamma
 from wqsym.words import quasi_shuffle, shift, sign_bullet, standardize
+
+
+def elem_key(x):
+    """Sort value of a single key entry: integers as themselves, the
+    epsilon part strictly between 0 and 1 (the monoid order 0 < e < 1)."""
+    return x if isinstance(x, int) else Fraction(1, 2)
+
+
+def basis_sort_key_reference(key):
+    """The canonical order on basis keys by its definition: length first,
+    then entrywise by ``elem_key``; tensor keys lexicographically by the
+    orders of their legs."""
+    if key and isinstance(key[0], tuple):
+        return tuple(basis_sort_key_reference(k) for k in key)
+    return (len(key), [elem_key(x) for x in key])
 
 
 def min_bullet(a, b):
@@ -186,6 +202,11 @@ def psi_zeta(pi):
     return psi(tuple(pi))
 
 
+def series_one(k):
+    """The series 1 in k variables."""
+    return Series.wrap(k, {(0,) * k: 1})
+
+
 def series_product_reference(a, b):
     """Product of truncated series adding every coordinate of every pair of
     exponent tuples, zeros included: the reference for the product that
@@ -225,6 +246,17 @@ def weight(alpha):
     if parts:
         return sum(parts)
     return EPS if runs[0] else 0
+
+
+def comp_descent_set(alpha):
+    """{b_q = sum_{j<=q} (i_j + s_j)} over the finest block form."""
+    runs, parts = eps_runs(alpha)
+    out = set()
+    b = 0
+    for i, s in zip(runs, parts):
+        b += i + s
+        out.add(b)
+    return out
 
 
 def eps_length(alpha):

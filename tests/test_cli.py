@@ -1,6 +1,7 @@
 """Command line behaviour: encodings, determinism, exit codes."""
 
 import concurrent.futures
+import gc
 import json
 import os
 import random
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from wqsym import morphisms
-from wqsym.cli import _listing_text, build_parser, main
+from wqsym.cli import _listing, build_parser, main
 from wqsym.compositions import EPS
 from wqsym.hopf import ALGEBRAS, context_by_name
 from wqsym.laws import Law, run_laws
@@ -19,6 +20,8 @@ from wqsym.lincomb import LinComb, lincomb_from_json, lincomb_to_json
 from wqsym.ppartitions import Series, expand_f, expand_m
 from wqsym.words import text_to_perm
 from wqsym.compositions import text_to_comp
+
+from oracles import series_one
 
 
 def run(capsys, *argv):
@@ -301,43 +304,94 @@ def test_text_format_rendering(capsys):
 
 
 def term_listings():
-    """Listings of every shape the CLI prints, from seeded random elements:
-    words with ``id``, compositions with ``empty`` and ``e`` parts, tensor
-    keys, int and Fraction coefficients of both signs, zero combinations,
-    and series with epsilon exponents."""
+    """Combinations of every shape the CLI prints, each with the arguments
+    of ``_listing`` after it, from seeded random elements: words with
+    ``id``, compositions with ``empty`` and ``e`` parts, tensor keys, int
+    and Fraction coefficients of both signs, zero combinations, and series
+    with epsilon exponents."""
     rng = random.Random(7)
     scalars = (1, -1, 12, -3, Fraction(2, 3), Fraction(-5, 4))
     for name in ALGEBRAS:
         ctx = context_by_name(name, Fraction(-1, 2) if name == "hsym" else -1)
-        pair_text = lambda kk: [ctx.key_text(kk[0]), ctx.key_text(kk[1])]
         keys = [key for n in range(4) for key in ctx.basis(n)]
         for x in keys:
             y = rng.choice(keys)
             lc = ctx.product(x, y) - ctx.product(y, x).scale(rng.choice(scalars))
-            yield lincomb_to_json(lc, ctx.key_text)
-            yield lincomb_to_json(ctx.coproduct(x).scale(rng.choice(scalars)), pair_text)
-            yield lincomb_to_json(ctx.antipode(x), ctx.key_text)
-            yield lincomb_to_json(LinComb.single(x, rng.choice(scalars)), ctx.key_text)
-        yield lincomb_to_json(LinComb.zero(), ctx.key_text)
-        yield lincomb_to_json(LinComb.zero(), pair_text)
+            yield lc, ctx.key_text
+            yield ctx.coproduct(x).scale(rng.choice(scalars)), ctx.key_text, True
+            yield ctx.antipode(x), ctx.key_text
+            yield LinComb.single(x, rng.choice(scalars)), ctx.key_text
+        yield LinComb.zero(), ctx.key_text
+        yield LinComb.zero(), ctx.key_text, True
     for k in (1, 2, 3):
-        yield Series.zero(k).to_json()
-        yield Series.one(k).to_json()
+        yield (Series.zero(k),)
+        yield (series_one(k),)
         for alpha in [(EPS,), (1, EPS), (EPS, 2, EPS), (2, 1), (1, EPS, 1)]:
-            yield expand_m(alpha, k).to_json()
-            yield (expand_f(alpha, k) * rng.choice(scalars)).to_json()
+            yield (expand_m(alpha, k),)
+            yield (expand_f(alpha, k) * rng.choice(scalars),)
+
+
+def reference_listing(lc, key_text=None, tensor=False):
+    """``json.dumps(indent=2)`` of the listing that ``_listing`` writes."""
+    if key_text is None:
+        return json.dumps(lc.to_json(), indent=2)
+    encode = (lambda kk: [key_text(kk[0]), key_text(kk[1])]) if tensor else key_text
+    return json.dumps(lincomb_to_json(lc, encode), indent=2)
 
 
 def test_listing_writer_matches_json_dumps():
     """The CLI's one-pass writer against its reference, json.dumps."""
-    texts = [(_listing_text(listing), json.dumps(listing, indent=2))
-             for listing in term_listings()]
+    texts = [(_listing(*args), reference_listing(*args)) for args in term_listings()]
     assert len(texts) > 500
     for text, reference in texts:
         assert text == reference
     every = "".join(text for text, _ in texts)
     for shape in ('"id"', '"empty"', ',e', '"-1/2"', '"terms": []', '"exps": [', '"e"'):
         assert shape in every
+
+
+# one command of each kind: product, coproduct and antipode on every
+# algebra (hsym also at a fractional weight), both conversions, every map,
+# gamma and both expansions; "POSET" stands for a poset file
+NO_CYCLE_COMMANDS = [
+    argv
+    for name, x, y in (("hsym", "1,-2", "2,-1"), ("ssym", "2,1", "1,2"),
+                       ("rqsym-m", "1,e", "e,2"), ("rqsym-f", "1,e", "e,2"),
+                       ("qsym", "1,2", "2"))
+    for argv in (["product", "--algebra", name, x, y],
+                 ["coproduct", "--algebra", name, x],
+                 ["antipode", "--algebra", name, x])
+] + [
+    ["product", "--algebra", "hsym", "--lambda", "2/3", "1,-2", "-1"],
+    ["antipode", "--algebra", "hsym", "--lambda", "2/3", "1,-2,3"],
+    ["convert", "--from", "f", "--to", "m", "1,e,2"],
+    ["convert", "--from", "m", "--to", "f", "1,e,2"],
+    *(["map", "--which", which, key] for which, key in
+      (("d1", "2,1,3"), ("d2", "1,-2"), ("phi1M", "1,e"), ("phi1F", "e,1,e"),
+       ("phi2", "-1,2,3,-4"))),
+    ["gamma", "--poset", "POSET", "--vars", "3"],
+    ["expand", "--basis", "m", "1,e", "--vars", "3"],
+    ["expand", "--basis", "f", "1,e", "--vars", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_CYCLE_COMMANDS, ids=" ".join)
+def test_commands_leave_no_reference_cycles(argv, tmp_path, capsys):
+    """Every object a command makes, its context and memos included, is
+    freed by reference counting: with the cyclic collector off, a command
+    run after a warm-up call leaves nothing for ``gc.collect()``."""
+    poset = tmp_path / "p.poset"
+    poset.write_text("1 < -2\n-3 < 4\n5\n")
+    argv = [str(poset) if arg == "POSET" else arg for arg in argv]
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out
 
 
 def test_closed_stdout_exits_two_without_traceback():

@@ -2,15 +2,16 @@
 quasi-shuffle of compositions."""
 
 import itertools
+import pickle
 
 import pytest
 
+from wqsym import lincomb
 from wqsym.lincomb import LinComb
 from wqsym.compositions import (
     EPS,
     comp_of_descents,
     comp_to_text,
-    descent_set,
     eps_runs,
     j_apply,
     ntilde_add,
@@ -33,6 +34,7 @@ from wqsym.words import (
     weak_descent_set,
 )
 from oracles import (
+    comp_descent_set as descent_set,
     concat,
     enumerate_refinements,
     near_concat,
@@ -42,6 +44,14 @@ from oracles import (
     unregularize,
     weight,
 )
+
+
+def test_eps_pickles_by_reference():
+    """Worker processes of ``--jobs`` receive keys by pickle; epsilon
+    parts must come back as the one ``EPS``, whichever module it is
+    imported from."""
+    assert pickle.loads(pickle.dumps((1, EPS, EPS))) == (1, EPS, EPS)
+    assert pickle.loads(pickle.dumps(EPS)) is EPS is lincomb.EPS
 
 
 def test_monoid_addition_table():

@@ -1,10 +1,12 @@
 """Vector space laws and serialization of sparse linear combinations."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from wqsym.lincomb import (
+    EPS,
     LinComb,
     basis_sort_key,
     format_coeff,
@@ -16,6 +18,8 @@ from wqsym.lincomb import (
     tensor_bilinear,
 )
 from wqsym.words import shifted_shuffle
+
+from oracles import basis_sort_key_reference
 
 
 SIGMA = (1, 2)
@@ -139,6 +143,32 @@ def test_items_in_canonical_order():
     lc = LinComb({(2, 1): 1, (1,): 1, (1, 2): 1, (): 1})
     assert [k for k, _ in lc.items()] == [(), (1,), (1, 2), (2, 1)]
     assert basis_sort_key((-1, 2)) < basis_sort_key((1, 2))
+
+
+def _seeded_keys(rng, entry, count):
+    """``count`` distinct flat keys of length 0 to 5, the empty one among them."""
+    keys = {()}
+    while len(keys) < count:
+        keys.add(tuple(entry(rng) for _ in range(rng.randrange(6))))
+    return list(keys)
+
+
+def test_sort_key_matches_its_definition():
+    """The C-level ranks of ``basis_sort_key`` sort seeded keys of every
+    kind exactly as the plain ``elem_key`` definition does: signed words,
+    compositions and exponent tuples with epsilon entries, tensor pairs
+    and triples, empty keys included."""
+    rng = random.Random(14)
+    words = _seeded_keys(rng, lambda r: r.choice([-1, 1]) * r.randint(1, 6), 1500)
+    comps = _seeded_keys(rng, lambda r: r.choice([EPS, EPS, 1, 2, 3]), 1000)
+    exps = _seeded_keys(rng, lambda r: r.choice([0, 0, EPS, 1, 2, 10]), 1000)
+    legs = words[:60] + comps[:60]
+    pairs = list({(rng.choice(legs), rng.choice(legs)) for _ in range(3000)} | {((), ())})
+    triples = list({tuple(rng.choice(comps[:40]) for _ in range(3)) for _ in range(1500)})
+    for keys in (words, comps, exps, pairs, triples):
+        rng.shuffle(keys)
+        assert sorted(keys, key=basis_sort_key) == sorted(keys, key=basis_sort_key_reference)
+    assert sum(map(len, (words, comps, exps, pairs, triples))) > 5000
 
 
 def test_tensor_outer_product():
