@@ -1,11 +1,12 @@
 """One runner for the verification laws.
 
-A law is an identity checked on every case of a finite list.  The runner
+A law is an identity checked on every case of a finite iterable.  The runner
 owns every rule a verification report depends on, so a verifier only
 lists its laws and their cases:
 
 * shard (i, n) checks the units of ``cases`` whose index is i mod n; a
-  unit is one case unless the law expands it into several;
+  unit is one case unless the law expands it into several; ``cases`` is
+  walked once, so it may be a generator that never holds all units;
 * ``failed`` is the true number of mismatches;
 * a report keeps the first MAX_FAILURES failures in case order, so the
   merged reports of the shards of any split equal the unsharded report;
@@ -16,7 +17,7 @@ lists its laws and their cases:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .lincomb import lincomb_to_json
 
@@ -34,7 +35,7 @@ class Law(NamedTuple):
     """
 
     name: str
-    cases: Sequence[tuple]
+    cases: Iterable[tuple]
     check: Callable
     show: Callable
     encode: Optional[Callable] = None
@@ -82,8 +83,7 @@ def run_laws(laws, shard=(0, 1)):
     reports = []
     for law in laws:
         report = LawReport(law.name)
-        for unit_index in range(idx, len(law.cases), count):
-            unit = law.cases[unit_index]
+        for unit_index, unit in itertools.islice(enumerate(law.cases), idx, None, count):
             for pos, case in enumerate(law.expand(unit) if law.expand else (unit,)):
                 report.checked += 1
                 got = law.check(*case)

@@ -105,9 +105,6 @@ class LinComb:
         """Terms in the canonical key order."""
         return sorted(self.terms.items(), key=lambda kv: basis_sort_key(kv[0]))
 
-    def coeff(self, key):
-        return self.terms.get(key, 0)
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -10,8 +10,12 @@ commuting square d1 phi2 = phi1 d2, the homomorphism laws at weight -1,
 and the vanishing laws for phi2) are implemented as exhaustive
 checks over degree-bounded strata, never assumed.
 
+``_hom_laws`` states the two homomorphism laws of any of the four maps,
+f(xy) = f(x) f(y) and (f @ f) Delta = Delta f, from the (product,
+coproduct) of its source and target; a failure lists both sides.
 Equality on the quasi-symmetric side is always decided in the monomial
-basis after converting, which is multiplicity free.
+basis after converting, which is multiplicity free, so d1 and d2 are
+checked against the monomial product and coproduct.
 
 The vanishing laws rest on the shape of phi2: it is zero on every word
 that is not neg* pos+ neg?.  ``_phi2_of_product`` computes phi2 of a
@@ -21,11 +25,12 @@ states that suffix tables of the factors show can still end in that shape.
 """
 from __future__ import annotations
 
+import functools
+
 from .laws import Law, graded_tuples, run_laws
 from .lincomb import LinComb, lc_mul, tensor_bimap
 from .compositions import (
     EPS,
-    comp_of_descents,
     comp_to_text,
     regularized_compositions,
     wcomp,
@@ -36,7 +41,6 @@ from .hopf import (
     deconcatenation,
     f_to_m_cached,
     m_to_f_cached,
-    rqsym_coproduct_f,
     star_product,
 )
 from .words import (
@@ -46,17 +50,15 @@ from .words import (
     shifted_shuffle,
     signed_permutations,
     standardize,
-    weak_descent_set,
 )
 
 
 def d1(pi):
-    """F indexed by the descent composition of a permutation."""
+    """F indexed by the descent composition of a permutation: d2, as
+    wcomp of a word with no negative letter is its descent composition."""
     if any(a < 0 for a in pi):
         raise ValueError(f"d1 needs an ordinary permutation, got {perm_to_text(pi)}")
-    if not pi:
-        return LinComb.single(())
-    return LinComb.single(comp_of_descents(weak_descent_set(pi), len(pi)))
+    return d2(pi)
 
 
 def d2(pi):
@@ -123,33 +125,21 @@ def phi2(word):
     return LinComb.single(standardize(kept[0]), kept[1]) if kept else LinComb.zero()
 
 
-def _to_monomials(f_combo):
-    """F-basis combination to the multiplicity-free monomial basis."""
-    return f_combo.map_basis(f_to_m_cached)
-
-
-def _multiplicative_into_f(f, product):
-    """Check that a map f into the F basis sends ``product`` to the
-    product of fundamentals, both sides in the monomial basis.  The right
-    side multiplies monomials by their defining quasi-shuffle, never
-    through ``rqsym_product_f``, which is itself built on d2 being
-    multiplicative."""
-    def check(s, t):
-        return (_to_monomials(product(s, t).map_basis(f)),
-                lc_mul(_to_monomials(f(s)), _to_monomials(f(t)), star_product))
-    return check
-
-
-def _comultiplicative_into_f(f):
-    """Check that a map f into the F basis intertwines the standardized
-    deconcatenation with the F coproduct, compared in the monomial basis."""
-    fm = lambda k: _to_monomials(f(k))
-
-    def check(pi):
-        lhs = tensor_bimap(deconcatenation(pi, standardize), fm, fm)
-        rhs = tensor_bimap(f(pi).map_basis(rqsym_coproduct_f), f_to_m_cached, f_to_m_cached)
-        return lhs == rhs
-    return check
+def _hom_laws(name, f, source, target, pairs, singles, show, text):
+    """The two laws of a homomorphism f from the algebra with (product,
+    coproduct) ``source`` to the one with ``target``: f(xy) = f(x) f(y) on
+    ``pairs`` and (f @ f) Delta = Delta f on ``singles``.  ``show`` renders
+    a source key and ``text`` a target key; the coproduct sides list pairs
+    of target keys."""
+    (mul, delta), (target_mul, target_delta) = source, target
+    return [
+        Law(f"{name} is multiplicative", pairs,
+            lambda x, y: (mul(x, y).map_basis(f), lc_mul(f(x), f(y), target_mul)),
+            show, text),
+        Law(f"{name} is comultiplicative", singles,
+            lambda x: (tensor_bimap(delta(x), f, f), f(x).map_basis(target_delta)),
+            show, lambda kk: [text(kk[0]), text(kk[1])]),
+    ]
 
 
 def verify_square(max_len, shard=(0, 1)):
@@ -157,7 +147,8 @@ def verify_square(max_len, shard=(0, 1)):
     perms = [list(signed_permutations(n)) for n in range(max_len + 1)]
 
     def square(pi):
-        return _to_monomials(phi2(pi).map_basis(d1)), _to_monomials(phi1_f(wcomp(pi)))
+        return (phi2(pi).map_basis(d1).map_basis(f_to_m_cached),
+                phi1_f(wcomp(pi)).map_basis(f_to_m_cached))
 
     return run_laws([
         Law("commuting square d1.phi2 = phi1.d2", graded_tuples(perms, 1, max_len),
@@ -180,41 +171,28 @@ def verify_morphism_laws(budget=4, shard=(0, 1)):
     signed_pairs = graded_tuples(signed, 2, reach)
     signed_singles = graded_tuples(signed, 1, reach)
     comp_singles = graded_tuples(comps, 1, reach)
+    split = functools.partial(deconcatenation, leg=standardize)
     # phi2 and d2 multiplicativity share the memoized product of each pair
-    weight_minus_one = context_by_name("hsym", -1).product
-
-    def phi2_product(s, t):
-        return (weight_minus_one(s, t).map_basis(phi2),
-                lc_mul(phi2(s), phi2(t), shifted_shuffle))
-
-    def phi2_coproduct(pi):
-        return (tensor_bimap(deconcatenation(pi, standardize), phi2, phi2)
-                == phi2(pi).map_basis(lambda k: deconcatenation(k, standardize)))
-
-    def phi1_product(a, b):
-        return star_product(a, b).map_basis(phi1_m), lc_mul(phi1_m(a), phi1_m(b), star_product)
-
-    def phi1_coproduct(a):
-        return (tensor_bimap(deconcatenation(a), phi1_m, phi1_m)
-                == phi1_m(a).map_basis(deconcatenation))
+    hsym = (context_by_name("hsym", -1).product, split)
+    ssym = (shifted_shuffle, split)
+    # d1 and d2 land in F; their laws are checked after F -> M, where the
+    # product is the defining quasi-shuffle, never ``rqsym_product_f``,
+    # which is itself built on d2 being multiplicative
+    monomial = (star_product, deconcatenation)
+    in_m = lambda f: lambda key: f(key).map_basis(f_to_m_cached)
 
     def phi1_bases(a):
         return phi1_f(a), f_to_m_cached(a).map_basis(phi1_m).map_basis(m_to_f_cached)
 
     return run_laws([
-        Law("phi2 is multiplicative", signed_pairs, phi2_product, perm_to_text, perm_to_text),
-        Law("phi2 is comultiplicative", signed_singles, phi2_coproduct, perm_to_text),
-        Law("d2 is multiplicative", signed_pairs,
-            _multiplicative_into_f(d2, weight_minus_one), perm_to_text, comp_to_text),
-        Law("d2 is comultiplicative", signed_singles, _comultiplicative_into_f(d2),
-            perm_to_text),
-        Law("d1 is multiplicative", graded_tuples(plain, 2, reach),
-            _multiplicative_into_f(d1, shifted_shuffle), perm_to_text, comp_to_text),
-        Law("d1 is comultiplicative", graded_tuples(plain, 1, reach),
-            _comultiplicative_into_f(d1), perm_to_text),
-        Law("phi1 is multiplicative", graded_tuples(comps, 2, reach), phi1_product,
-            comp_to_text, comp_to_text),
-        Law("phi1 is comultiplicative", comp_singles, phi1_coproduct, comp_to_text),
+        *_hom_laws("phi2", phi2, hsym, ssym, signed_pairs, signed_singles,
+                   perm_to_text, perm_to_text),
+        *_hom_laws("d2", in_m(d2), hsym, monomial, signed_pairs, signed_singles,
+                   perm_to_text, comp_to_text),
+        *_hom_laws("d1", in_m(d1), ssym, monomial, graded_tuples(plain, 2, reach),
+                   graded_tuples(plain, 1, reach), perm_to_text, comp_to_text),
+        *_hom_laws("phi1", phi1_m, monomial, monomial, graded_tuples(comps, 2, reach),
+                   comp_singles, comp_to_text, comp_to_text),
         Law("phi1_F matches conjugated phi1_M", comp_singles, phi1_bases,
             comp_to_text, comp_to_text),
     ], shard)
@@ -319,34 +297,21 @@ def verify_annihilation(max_len=4, shard=(0, 1)):
     right factor.  Every product goes through ``_phi2_of_product``, whose
     dynamic program enters only the states (i, j, phase) that its suffix
     tables show can still end in phi2's shape, each once per call.  The
-    case selection below reads the factors' shape itself, not the tables.
+    case selection below reads the factors' shape itself, not the tables:
+    ``_block_and_trail`` is None exactly on a +-+ pattern.  The pairs of
+    the second law are generated as the runner walks them, never listed.
     """
     every = [pi for n in range(max_len + 1) for pi in signed_permutations(n)]
 
-    def has_pnp(word):
-        seen_pos = seen_pos_neg = False
-        for a in word:
-            if a > 0:
-                if seen_pos_neg:
-                    return True
-                seen_pos = True
-            elif seen_pos:
-                seen_pos_neg = True
-        return False
-
     # single-block factors, with the length of their trailing negative run
     blocky = [(pi, shape[1]) for pi in every if (shape := _block_and_trail(pi))]
-    qualifying = [
-        (s, t)
-        for s, js in blocky
-        for t, jt in blocky
-        if js >= 2 or jt >= 2
-    ]
+    qualifying = ((s, t) for s, js in blocky for t, jt in blocky if js >= 2 or jt >= 2)
     kills_both_ways = lambda s, t: not _phi2_of_product(s, t) and not _phi2_of_product(t, s)
     neg = (-1,)
 
     return run_laws([
-        Law("phi2 kills +-+ patterns", [(pi,) for pi in every if has_pnp(pi)],
+        Law("phi2 kills +-+ patterns",
+            [(pi,) for pi in every if _block_and_trail(pi) is None],
             kills_both_ways, perm_to_text, expand=lambda unit: (unit + (t,) for t in every)),
         Law("phi2 kills trailing negative runs", qualifying,
             lambda s, t: not _phi2_of_product(s, t), perm_to_text),

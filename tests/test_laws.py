@@ -59,13 +59,21 @@ def test_merged_shards_equal_the_single_run():
 
 
 def test_merge_keeps_expanded_units_in_case_order():
-    law = Law("odd sums", [(a,) for a in range(7)], lambda a, b: (a + b) % 2 == 0,
-              str, expand=lambda unit: (unit + (b,) for b in range(9)))
-    solo = report_to_json(run_laws([law]))
+    """Units given as a list or as a generator, which the runner walks
+    once per shard, give the same reports."""
+    def law(units):
+        return Law("odd sums", units, lambda a, b: (a + b) % 2 == 0,
+                   str, expand=lambda unit: (unit + (b,) for b in range(9)))
+
+    listed = lambda: [(a,) for a in range(7)]
+    streamed = lambda: ((a,) for a in range(7))
+    solo = report_to_json(run_laws([law(listed())]))
     assert solo["checks"][0]["failed"] == 31
-    for n in (2, 3, 5):
-        merged = merge_reports([run_laws([law], (i, n)) for i in range(n)])
-        assert report_to_json(merged) == solo
+    for units in (listed, streamed):
+        assert report_to_json(run_laws([law(units())])) == solo
+        for n in (2, 3, 5):
+            merged = merge_reports([run_laws([law(units())], (i, n)) for i in range(n)])
+            assert report_to_json(merged) == solo
 
 
 def test_passing_suites_serialize_nothing(monkeypatch):

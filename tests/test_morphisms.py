@@ -4,6 +4,7 @@ import gc
 import importlib
 import itertools
 import os
+import re
 import shutil
 import sys
 
@@ -159,6 +160,38 @@ def test_morphism_laws_do_not_use_the_f_product(monkeypatch):
     assert got["summary"]["status"] == "pass"
     assert {law["law"] for law in got["checks"] if law["checked"]} >= {
         "d2 is multiplicative", "d1 is multiplicative"}
+
+
+def test_failing_coproduct_laws_report_both_sides(monkeypatch):
+    """A broken phi1 fails its coproduct law, and each failure lists both
+    sides, every term keyed by the texts of its two legs."""
+    plain = morphisms.phi1_m
+    monkeypatch.setattr(morphisms, "phi1_m", lambda alpha: plain(alpha).scale(2))
+    report = report_to_json(verify_morphism_laws(1))
+    failing = [law for law in report["checks"]
+               if law["law"].endswith("comultiplicative") and law["status"] == "fail"]
+    assert [law["law"] for law in failing] == ["phi1 is comultiplicative"]
+    assert failing[0]["failures"][0] == {
+        "inputs": ["empty"],
+        "lhs": {"terms": [{"coeff": "4", "key": ["empty", "empty"]}]},
+        "rhs": {"terms": [{"coeff": "2", "key": ["empty", "empty"]}]},
+    }
+    for law in failing:
+        for failure in law["failures"]:
+            for side in (failure["lhs"], failure["rhs"]):
+                assert side["terms"]
+                for term in side["terms"]:
+                    assert [type(leg) for leg in term["key"]] == [str, str]
+
+
+def test_block_and_trail_fails_exactly_on_a_pnp_pattern():
+    """The +-+ law selects its factors by ``_block_and_trail(pi) is None``:
+    that holds exactly when the sign string has a +-+ pattern."""
+    pnp = re.compile(r"\+-+\+")
+    for n in range(7):
+        for pi in signed_permutations(n):
+            signs = "".join("+" if a > 0 else "-" for a in pi)
+            assert (morphisms._block_and_trail(pi) is None) == bool(pnp.search(signs)), pi
 
 
 # The pruned phi2 of a product against the reference: phi2 applied to
