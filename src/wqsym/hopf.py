@@ -83,11 +83,7 @@ def rqsym_antipode_m(alpha):
         return LinComb.single(())
     rev = reversal(alpha)
     sign = (-1) ** ell
-    out = {}
-    for J in compositions_of(ell):
-        key = j_apply(J, rev)
-        out[key] = out.get(key, 0) + sign
-    return LinComb.wrap({k: c for k, c in out.items() if c})
+    return LinComb((j_apply(J, rev), sign) for J in compositions_of(ell))
 
 
 def f_to_m(alpha):

@@ -14,6 +14,7 @@ None of them is used by the library itself.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 from fractions import Fraction
@@ -72,6 +73,12 @@ def stuffle_patterns(m, n, r):
             )
 
 
+@functools.cache
+def stuffle_pattern_tuple(m, n, r):
+    """``stuffle_patterns(m, n, r)`` as a tuple, built once per (m, n, r)."""
+    return tuple(stuffle_patterns(m, n, r))
+
+
 def stuffle(u, v, lam, bullet=sign_bullet):
     """Stuffle form of the quasi-shuffle product.
 
@@ -86,7 +93,7 @@ def stuffle(u, v, lam, bullet=sign_bullet):
         weight = lam**r
         if not weight:
             continue
-        for roles in stuffle_patterns(m, n, r):
+        for roles in stuffle_pattern_tuple(m, n, r):
             word = []
             i = j = 0
             dead = False

@@ -21,11 +21,12 @@ from wqsym.compositions import (
 )
 import wqsym
 from wqsym import ppartitions
-from wqsym.hopf import report_to_json
+from wqsym.hopf import f_to_m, report_to_json
 from wqsym.laws import graded_tuples
 from wqsym.ppartitions import (
     Poset,
     Series,
+    _chain_shape,
     chain_poset,
     enumerate_ppartitions,
     expand_f,
@@ -331,6 +332,73 @@ def test_exact_laws_catch_a_weak_strict_cover(tmp_path, monkeypatch):
     assert failed["Gamma(sigma) Gamma(tau) = Gamma(sigma * tau)"] > 0
 
 
+def test_gamma_of_a_chain_depends_only_on_its_shape():
+    """The suite memoizes Gamma of a word by ``_chain_shape``: the plain
+    ``gamma_m`` must agree on all words of one shape, here every signed
+    permutation of length <= 5."""
+    by_shape = {}
+    words = 0
+    for n in range(6):
+        for pi in signed_permutations(n):
+            got = gamma_m(chain_poset(pi))
+            assert by_shape.setdefault(_chain_shape(pi), got) == got, pi
+            words += 1
+    assert (words, len(by_shape)) == (4283, 144)
+
+
+def test_a_shape_without_strict_steps_fails_the_laws(monkeypatch):
+    """Keyed by the signs alone, the memo gives (1, 2) and (2, 1) one
+    Gamma; the exact laws must report it, so they catch a key that is too
+    coarse."""
+    shape = ppartitions._chain_shape
+    monkeypatch.setattr(ppartitions, "_chain_shape", lambda word: shape(word)[:1])
+    report = report_to_json(verify_gamma_identities(2, 4, 3, 6))
+    failed = {check["law"]: check.get("failed", 0) for check in report["checks"]}
+    assert failed["Gamma(pi) = F_{wcomp(pi)}"] > 0
+    assert failed["Gamma(sigma) Gamma(tau) = Gamma(sigma * tau)"] > 0
+
+
+def negative_chain_poset(rng, max_size):
+    """A random signed poset whose negative labels form a chain: covers
+    drawn forward along a shuffled order, each step between consecutive
+    negatives of that order forced in."""
+    n = rng.randint(0, max_size)
+    labels = [a if rng.random() < 0.5 else -a for a in rng.sample(range(1, 10), n)]
+    order = labels[:]
+    rng.shuffle(order)
+    negatives = [a for a in order if a < 0]
+    forced = set(zip(negatives, negatives[1:]))
+    return Poset(labels, [(a, b) for p, a in enumerate(order) for b in order[p + 1:]
+                          if (a, b) in forced or rng.random() < 0.5])
+
+
+def sum_over_extensions(poset):
+    """The sum of F_{wcomp(pi)} over the linear extensions pi of P, in M."""
+    out = {}
+    for pi in poset.linear_extensions():
+        accumulate(out, f_to_m(wcomp(pi)).terms.items())
+    return LinComb.wrap(out)
+
+
+def test_fundamental_lemma_when_the_negatives_form_a_chain():
+    """Gamma(P) = sum of F_{wcomp(pi)} over the linear extensions of P,
+    exactly in M, when the negative labels of P form a chain."""
+    rng = random.Random(5)
+    posets = [negative_chain_poset(rng, 6) for _ in range(300)]
+    assert max(map(len, posets)) == 6
+    assert sum(1 for p in posets if sum(a < 0 for a in p.labels) >= 2) > 50
+    for poset in posets:
+        assert gamma_m(poset) == sum_over_extensions(poset), poset
+
+
+def test_incomparable_negatives_break_the_fundamental_lemma():
+    """-1 and -2 may share a value in either order, so both extensions
+    count the partition that puts them together."""
+    antichain = Poset([-1, -2])
+    assert gamma_m(antichain) == LinComb({(EPS,): 1, (EPS, EPS): 2})
+    assert sum_over_extensions(antichain) == LinComb({(EPS,): 2, (EPS, EPS): 2})
+
+
 def test_gamma_combo_matches_scaled_gamma_words():
     k = 5
     rng = random.Random(9)
@@ -530,9 +598,19 @@ def test_series_text_keeps_the_plus_sign_of_negative_terms():
     assert s.to_text() == "-2/3*1 + -1*x2^e + 1*x1"
 
 
+def restrict(series, k2):
+    """Drop every term that uses a variable above x_{k2}."""
+    assert k2 <= series.k
+    out = {}
+    for e, c in series.terms.items():
+        if all(x == 0 for x in e[k2:]):
+            out[e[:k2]] = c
+    return Series.wrap(k2, out)
+
+
 def test_series_truncation_consistency():
     for k in (3, 4):
-        assert gamma(FORK, k).restrict(k - 1) == gamma(FORK, k - 1)
+        assert restrict(gamma(FORK, k), k - 1) == gamma(FORK, k - 1)
 
 
 def test_series_json_round_trip():
