@@ -31,7 +31,7 @@ class CLIError(Exception):
 
 # one term of a listing as json.dumps(indent=2) writes it, by the kind of
 # key: a basis key, a pair of basis keys, or a nonempty exponent tuple; "%s"
-# writes a coefficient by str, as format_coeff does
+# writes a coefficient by str, as lincomb_to_json does
 _KEY = '    {\n      "coeff": "%s",\n      "key": "%s"\n    }'
 _PAIR = '    {\n      "coeff": "%s",\n      "key": [\n        "%s",\n        "%s"\n      ]\n    }'
 _EXPS = '    {\n      "coeff": "%s",\n      "exps": [\n        "%s"\n      ]\n    }'

@@ -17,13 +17,16 @@ with single positive parts s_q; ``eps_runs`` returns the run lengths and
 the positive parts, and the basis-change enumeration below works through
 it.  The statistics, descent set and refinement order that the tests
 check these against live in the tests' oracles.
+
+``wcomp`` reads a signed permutation in one scan, and
+``words.weak_descent_set`` is the reference it is checked against.
 """
 from __future__ import annotations
 
 from math import comb
 
 from .lincomb import EPS
-from .words import quasi_shuffle, weak_descent_set
+from .words import quasi_shuffle
 
 
 def ntilde_add(a, b):
@@ -60,24 +63,6 @@ def eps_runs(alpha):
 
 def total_weight(alpha):
     return sum(1 if p is EPS else p for p in alpha)
-
-
-def comp_of_descents(S, n):
-    """Composition of n with descent set S; n itself must be in S."""
-    S = set(S)
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not S <= set(range(1, n + 1)):
-        raise ValueError(f"descent set {sorted(S)} not inside [{n}]")
-    if n not in S:
-        raise ValueError(f"descent set must contain the total weight {n}")
-    points = sorted(S)
-    prev = 0
-    out = []
-    for a in points:
-        out.append(a - prev)
-        prev = a
-    return tuple(out)
 
 
 def compositions_of(n):
@@ -159,25 +144,23 @@ def star_product(alpha, beta):
 
 
 def wcomp(pi):
-    """Regularized composition of a signed permutation: an e per negative
-    letter, and the descent composition of each maximal positive block.
+    """Regularized composition of a signed permutation, in one scan: an e
+    per negative letter, and a positive letter a closes the current part
+    when a > max(0, b), with b the next letter or 0 past the end, so the
+    parts end at ``weak_descent_set(pi)``.
 
-    A block's descents depend only on the relative order of its letters,
-    so any signed word whose positive letters are distinct gives the
-    value of its standardization."""
+    Any signed word whose positive letters are distinct gives the value
+    of its standardization."""
     out = []
-    n = len(pi)
-    i = 0
-    while i < n:
-        if pi[i] < 0:
+    run = 0
+    for a, b in zip(pi, (*pi[1:], 0)):
+        if a < 0:
             out.append(EPS)
-            i += 1
         else:
-            j = i
-            while j < n and pi[j] > 0:
-                j += 1
-            out.extend(comp_of_descents(weak_descent_set(pi[i:j]), j - i))
-            i = j
+            run += 1
+            if a > b:  # a > 0, so this is a > max(0, b)
+                out.append(run)
+                run = 0
     return tuple(out)
 
 

@@ -186,29 +186,19 @@ def tensor_bimap(t, f, g):
     )
 
 
-def format_coeff(c):
-    """Rational to text.  ``str`` of an int or a Fraction is already
-    canonical, and a Fraction with denominator 1 prints as an int."""
-    return str(c)
-
-
-def parse_coeff(text):
-    return Fraction(text)
-
-
 def lincomb_to_json(lc, encode_key):
     """JSON form {"terms": [{"coeff": ..., "key": ...}, ...]}, keys in
     canonical order."""
     return {
         "terms": [
-            {"coeff": format_coeff(c), "key": encode_key(k)} for k, c in lc.items()
+            {"coeff": str(c), "key": encode_key(k)} for k, c in lc.items()
         ]
     }
 
 
 def lincomb_from_json(obj, decode_key):
     return LinComb(
-        (decode_key(t["key"]), parse_coeff(t["coeff"])) for t in obj["terms"]
+        (decode_key(t["key"]), Fraction(t["coeff"])) for t in obj["terms"]
     )
 
 
@@ -218,8 +208,7 @@ def lincomb_to_text(lc, render_key):
         return "0"
     parts = []
     for k, c in lc.items():
-        mag = format_coeff(abs(c))
-        term = f"{mag}*{render_key(k)}"
+        term = f"{abs(c)!s}*{render_key(k)}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:

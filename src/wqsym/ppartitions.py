@@ -34,8 +34,9 @@ import functools
 import heapq
 import itertools
 import random
+from fractions import Fraction
 
-from .lincomb import LinComb, accumulate, format_coeff, lc_mul, parse_coeff
+from .lincomb import LinComb, lc_mul
 from .compositions import EPS, ntilde_add, star_product, wcomp, wcomp_preimage
 from .hopf import f_to_m
 from .laws import Law, graded_tuples, run_laws
@@ -107,11 +108,10 @@ class Poset:
         return len(self.labels)
 
     def standardize(self):
-        """The isomorphic poset on standard labels, and the relabeling."""
+        """The isomorphic poset on standard labels."""
         word = standardize(self.labels)
         relabel = dict(zip(self.labels, word))
-        poset = Poset(word, [(relabel[a], relabel[b]) for a, b in self.covers])
-        return poset, relabel
+        return Poset(word, [(relabel[a], relabel[b]) for a, b in self.covers])
 
     def linear_extensions(self):
         """All linear extensions of the standardized poset, as signed
@@ -120,7 +120,7 @@ class Poset:
         A depth-first walk with an explicit stack: each depth tries its
         minimal unplaced elements in order of absolute value.
         """
-        st, _ = self.standardize()
+        st = self.standardize()
         if not st.labels:
             return [()]
         above = st._above
@@ -293,25 +293,22 @@ class Series(LinComb):
     def __mul__(self, other):
         """Product of series, or a scalar multiple.
 
-        Exponents add in the monoid, coordinate by coordinate; a 0 is the
-        unit, so each left term lists its nonzero coordinates once and
-        adds only those into a copy of every right exponent tuple.
+        Exponents add in the monoid, coordinate by coordinate, for every
+        pair of terms.
         """
         if not isinstance(other, Series):
             return self.scale(other)
         assert self.k == other.k
-        out = {}
-        right = other.terms.items()
-        for e1, c1 in self.terms.items():
-            accumulate(out, _shifted(right, [(i, x) for i, x in enumerate(e1) if x != 0]), c1)
-        return Series.wrap(self.k, out)
+        return Series(self.k, ((tuple(map(ntilde_add, e1, e2)), c1 * c2)
+                               for e1, c1 in self.terms.items()
+                               for e2, c2 in other.terms.items()))
 
     def to_json(self):
         return {
             "k": self.k,
             "terms": [
                 {
-                    "coeff": format_coeff(c),
+                    "coeff": str(c),
                     "exps": ["e" if x is EPS else str(x) for x in e],
                 }
                 for e, c in self.items()
@@ -323,7 +320,7 @@ class Series(LinComb):
         terms = []
         for t in obj["terms"]:
             exps = tuple(EPS if s == "e" else int(s) for s in t["exps"])
-            terms.append((exps, parse_coeff(t["coeff"])))
+            terms.append((exps, Fraction(t["coeff"])))
         return cls(obj["k"], terms)
 
     def to_text(self):
@@ -337,21 +334,11 @@ class Series(LinComb):
                 if x != 0
             ]
             mono = "*".join(factors) if factors else "1"
-            bits.append(f"{format_coeff(c)}*{mono}")
+            bits.append(f"{c!s}*{mono}")
         return " + ".join(bits)
 
     def __repr__(self):
         return f"Series(k={self.k}, {self.to_text()})"
-
-
-def _shifted(terms, nonzero):
-    """The (exponents, coefficient) pairs of ``terms`` with the exponent x
-    added at coordinate i for every (i, x) of ``nonzero``."""
-    for e, c in terms:
-        e = list(e)
-        for i, x in nonzero:
-            e[i] = ntilde_add(e[i], x)
-        yield tuple(e), c
 
 
 def _exponent_counts(poset, k, packed=False):
@@ -543,7 +530,7 @@ def verify_gamma_identities(max_len=3, k=6, pair_len=4, pair_k=8,
         return shapes[shape]
 
     def extensions(p):
-        st, _ = p.standardize()
+        st = p.standardize()
         union = set()
         for pi in st.linear_extensions():
             union |= _assignments_as_set(enumerate_ppartitions(chain_poset(pi), random_k))

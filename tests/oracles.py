@@ -216,8 +216,8 @@ def series_one(k):
 
 def series_product_reference(a, b):
     """Product of truncated series adding every coordinate of every pair of
-    exponent tuples, zeros included: the reference for the product that
-    adds only the nonzero coordinates of the left term."""
+    exponent tuples, zeros included: the reference that ``Series.__mul__``
+    is checked against."""
     assert a.k == b.k
     return Series(a.k, ((tuple(map(ntilde_add, e1, e2)), c1 * c2)
                         for e1, c1 in a.terms.items()

@@ -10,7 +10,6 @@ from wqsym import lincomb
 from wqsym.lincomb import LinComb
 from wqsym.compositions import (
     EPS,
-    comp_of_descents,
     comp_to_text,
     eps_runs,
     j_apply,
@@ -130,24 +129,6 @@ def test_trailing_run_decides_final_descent():
                 assert (total_weight(alpha) in descent_set(alpha)) == (runs[-1] == 0)
 
 
-def test_comp_of_descents():
-    assert comp_of_descents({2, 3}, 3) == (2, 1)
-    assert comp_of_descents({5}, 5) == (5,)
-    with pytest.raises(ValueError):
-        comp_of_descents({2, 8}, 3)
-    with pytest.raises(ValueError):
-        comp_of_descents({1, 2}, 3)
-
-
-def test_comp_descents_round_trip():
-    for n in range(1, 8):
-        for bits in itertools.product((0, 1), repeat=n - 1):
-            S = {i + 1 for i, b in enumerate(bits) if b} | {n}
-            c = comp_of_descents(S, n)
-            assert descent_set(c) == S
-            assert sum(c) == n
-
-
 def test_refinement_worked_example():
     alpha = text_to_comp("1,2,e,e,1,3,2,e")
     beta = text_to_comp("3,e,e,1,e,5,e,e,e")
@@ -260,7 +241,7 @@ def test_wcomp_examples():
 
 
 def test_wcomp_invariants():
-    for n in range(5):
+    for n in range(7):
         for pi in signed_permutations(n):
             alpha = wcomp(pi)
             assert total_weight(alpha) == n

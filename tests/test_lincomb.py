@@ -9,7 +9,6 @@ from wqsym.lincomb import (
     EPS,
     LinComb,
     basis_sort_key,
-    format_coeff,
     lincomb_from_json,
     lincomb_to_json,
     lincomb_to_text,
@@ -186,9 +185,9 @@ def test_json_round_trip():
 
 
 def test_unit_coefficient_serializes_plainly():
-    assert format_coeff(Fraction(2, 2)) == "1"
-    assert format_coeff(Fraction(-3, 3)) == "-1"
-    assert format_coeff(Fraction(5, 6)) == "5/6"
+    for c, text in ((Fraction(2, 2), "1"), (Fraction(-3, 3), "-1"), (Fraction(5, 6), "5/6")):
+        [term] = lincomb_to_json(LinComb.single((1,), c), str)["terms"]
+        assert term["coeff"] == text
 
 
 def test_text_rendering():
