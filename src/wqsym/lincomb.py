@@ -137,9 +137,20 @@ class LinComb:
     __rmul__ = scale
 
     def map_basis(self, f):
-        """Linear extension of a basis map f: key -> LinComb."""
+        """Linear extension of a basis map f: key -> LinComb.
+
+        On a basis element (one key, coefficient 1) this is ``f(key)``
+        itself, shared rather than copied, as combinations are immutable;
+        so a memoized f keeps one value per key.  The result is then of
+        whatever kind f returns: no caller in this package maps into a
+        ``Series``."""
+        terms = self.terms
+        if len(terms) == 1:
+            (key, coeff), = terms.items()
+            if coeff == 1:
+                return f(key)
         out = {}
-        for key, coeff in self.terms.items():
+        for key, coeff in terms.items():
             accumulate(out, f(key).terms.items(), coeff)
         return LinComb.wrap(out)
 

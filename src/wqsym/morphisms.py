@@ -17,6 +17,15 @@ Equality on the quasi-symmetric side is always decided in the monomial
 basis after converting, which is multiplicity free, so d1 and d2 are
 checked against the monomial product and coproduct.
 
+Every memo belongs to one verifier call, so a new call, a shard and a
+``--jobs`` worker each start cold.  ``verify_morphism_laws`` memoizes
+phi2, phi1 on monomials and the monomial images of d1 and d2, and takes
+the memoized product and coproduct of the ssym and rqsym-m contexts and
+the memoized hsym product.  The hsym coproduct stays plain: a memo of it
+would hold the splits of every signed permutation the suite visits, which
+doubles the memory of the budget-5 run.  ``verify_annihilation`` memoizes
+the suffix tables of each factor.
+
 The vanishing laws rest on the shape of phi2: it is zero on every word
 that is not neg* pos+ neg?.  ``_phi2_of_product`` computes phi2 of a
 weight -1 product by a dynamic program over the lattice-path states
@@ -41,13 +50,11 @@ from .hopf import (
     deconcatenation,
     f_to_m_cached,
     m_to_f_cached,
-    star_product,
 )
 from .words import (
     perm_to_text,
     positive_permutations,
     shift,
-    shifted_shuffle,
     signed_permutations,
     standardize,
 )
@@ -171,27 +178,30 @@ def verify_morphism_laws(budget=4, shard=(0, 1)):
     signed_pairs = graded_tuples(signed, 2, reach)
     signed_singles = graded_tuples(signed, 1, reach)
     comp_singles = graded_tuples(comps, 1, reach)
-    split = functools.partial(deconcatenation, leg=standardize)
-    # phi2 and d2 multiplicativity share the memoized product of each pair
-    hsym = (context_by_name("hsym", -1).product, split)
-    ssym = (shifted_shuffle, split)
+    # phi2 and d2 multiplicativity share the memoized product of each pair;
+    # the coproduct has no memo, for the memory (see the module docstring)
+    hsym = (context_by_name("hsym", -1).product,
+            functools.partial(deconcatenation, leg=standardize))
+    memoized = lambda ctx: (ctx.product, ctx.coproduct)
+    ssym = memoized(context_by_name("ssym"))
     # d1 and d2 land in F; their laws are checked after F -> M, where the
     # product is the defining quasi-shuffle, never ``rqsym_product_f``,
     # which is itself built on d2 being multiplicative
-    monomial = (star_product, deconcatenation)
-    in_m = lambda f: lambda key: f(key).map_basis(f_to_m_cached)
+    monomial = memoized(context_by_name("rqsym-m"))
+    in_m = lambda f: functools.cache(lambda key: f(key).map_basis(f_to_m_cached))
+    phi1 = functools.cache(phi1_m)
 
     def phi1_bases(a):
-        return phi1_f(a), f_to_m_cached(a).map_basis(phi1_m).map_basis(m_to_f_cached)
+        return phi1_f(a), f_to_m_cached(a).map_basis(phi1).map_basis(m_to_f_cached)
 
     return run_laws([
-        *_hom_laws("phi2", phi2, hsym, ssym, signed_pairs, signed_singles,
-                   perm_to_text, perm_to_text),
+        *_hom_laws("phi2", functools.cache(phi2), hsym, ssym, signed_pairs,
+                   signed_singles, perm_to_text, perm_to_text),
         *_hom_laws("d2", in_m(d2), hsym, monomial, signed_pairs, signed_singles,
                    perm_to_text, comp_to_text),
         *_hom_laws("d1", in_m(d1), ssym, monomial, graded_tuples(plain, 2, reach),
                    graded_tuples(plain, 1, reach), perm_to_text, comp_to_text),
-        *_hom_laws("phi1", phi1_m, monomial, monomial, graded_tuples(comps, 2, reach),
+        *_hom_laws("phi1", phi1, monomial, monomial, graded_tuples(comps, 2, reach),
                    comp_singles, comp_to_text, comp_to_text),
         Law("phi1_F matches conjugated phi1_M", comp_singles, phi1_bases,
             comp_to_text, comp_to_text),
@@ -217,7 +227,7 @@ def _suffix_tables(word):
     return pos, late, rest
 
 
-def _phi2_of_product(s, t):
+def _phi2_of_product(s, t, tables=_suffix_tables):
     """phi2 of the weight -1 product s * t, by a dynamic program over the
     lattice paths of the quasi-shuffle of u = s and v = t shifted past s,
 
@@ -232,12 +242,14 @@ def _phi2_of_product(s, t):
     each factor keeps its letters in order, so the suffix tables of u and
     v decide whether a state can still end in that shape; a dead state is
     never entered.  ``standardize`` runs once per distinct kept block.
+    ``tables`` computes the suffix tables of a factor, a memo of
+    ``_suffix_tables`` when the caller multiplies the same words often.
     """
     if not s and not t:
         return LinComb.single(())
     # the tables only read signs, so t's serve for v
-    pos_u, late_u, rest_u = _suffix_tables(s)
-    pos_v, late_v, rest_v = _suffix_tables(t)
+    pos_u, late_u, rest_u = tables(s)
+    pos_v, late_v, rest_v = tables(t)
 
     def live(i, j, phase):
         has_pos = pos_u[i] or pos_v[j]
@@ -296,7 +308,8 @@ def verify_annihilation(max_len=4, shard=(0, 1)):
     The first law shards its left factors and checks each against every
     right factor.  Every product goes through ``_phi2_of_product``, whose
     dynamic program enters only the states (i, j, phase) that its suffix
-    tables show can still end in phi2's shape, each once per call.  The
+    tables show can still end in phi2's shape, each once per call; the
+    tables of each factor are computed once for this whole call.  The
     case selection below reads the factors' shape itself, not the tables:
     ``_block_and_trail`` is None exactly on a +-+ pattern.  The pairs of
     the second law are generated as the runner walks them, never listed.
@@ -306,15 +319,16 @@ def verify_annihilation(max_len=4, shard=(0, 1)):
     # single-block factors, with the length of their trailing negative run
     blocky = [(pi, shape[1]) for pi in every if (shape := _block_and_trail(pi))]
     qualifying = ((s, t) for s, js in blocky for t, jt in blocky if js >= 2 or jt >= 2)
-    kills_both_ways = lambda s, t: not _phi2_of_product(s, t) and not _phi2_of_product(t, s)
+    tables = functools.cache(_suffix_tables)
+    kills = lambda s, t: not _phi2_of_product(s, t, tables)
+    kills_both_ways = lambda s, t: kills(s, t) and kills(t, s)
     neg = (-1,)
 
     return run_laws([
         Law("phi2 kills +-+ patterns",
             [(pi,) for pi in every if _block_and_trail(pi) is None],
             kills_both_ways, perm_to_text, expand=lambda unit: (unit + (t,) for t in every)),
-        Law("phi2 kills trailing negative runs", qualifying,
-            lambda s, t: not _phi2_of_product(s, t), perm_to_text),
+        Law("phi2 kills trailing negative runs", qualifying, kills, perm_to_text),
         Law("phi2 kills products with the negative letter", [(pi,) for pi in every],
             lambda s: kills_both_ways(s, neg), perm_to_text),
     ], shard)

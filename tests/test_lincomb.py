@@ -1,5 +1,6 @@
 """Vector space laws and serialization of sparse linear combinations."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from wqsym.lincomb import (
     EPS,
     LinComb,
+    accumulate,
     basis_sort_key,
     lincomb_from_json,
     lincomb_to_json,
@@ -53,6 +55,42 @@ def test_map_basis_key_merge():
     combo = LinComb.single(SIGMA, 1) + LinComb.single(TAU, 1)
     out = combo.map_basis(lambda k: LinComb.single(RHO, 1))
     assert out == LinComb.single(RHO, 2)
+
+
+def test_map_basis_matches_the_accumulated_sum():
+    """On one key with coefficient 1, map_basis returns f(key) itself; on
+    any other combination it accumulates.  Both agree with the plain sum
+    on seeded combinations, among them one-term ones with coefficients
+    that equal 1 without being the int 1 and ones that do not."""
+    rng = random.Random(18)
+    keys = [(), (1,), (2, 1), (1, -2), (3, 1, 2), (EPS, 1)]
+
+    @functools.cache
+    def f(key):
+        # a fixed image per key, zero and cancelling images among them
+        r = random.Random(str(key))
+        return LinComb((r.choice(keys), r.choice((-2, -1, 1, Fraction(1, 3))))
+                       for _ in range(r.randint(0, 3)))
+
+    def plain(lc):
+        out = {}
+        for key, coeff in lc.terms.items():
+            accumulate(out, f(key).terms.items(), coeff)
+        return LinComb.wrap(out)
+
+    units = (1, -1, Fraction(1), Fraction(1, 2))
+    combos = [LinComb.single(rng.choice(keys), units[i % 4]) for i in range(250)]
+    combos += [LinComb((rng.choice(keys), rng.choice(units + (3,)))
+                       for _ in range(rng.randint(0, 5))) for _ in range(250)]
+    assert sum(len(lc) > 1 for lc in combos) > 100
+    for lc in combos:
+        got = lc.map_basis(f)
+        assert got == plain(lc), lc
+        assert all(got.terms.values())
+    for key in keys:
+        assert LinComb.single(key).map_basis(f) is f(key)
+        assert LinComb.single(key, Fraction(1)).map_basis(f) is f(key)
+        assert LinComb.single(key, -1).map_basis(f) is not f(key)
 
 
 def test_tensor_bilinear_empty():

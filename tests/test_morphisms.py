@@ -2,6 +2,7 @@
 
 import gc
 import importlib
+import inspect
 import itertools
 import os
 import re
@@ -108,6 +109,44 @@ def test_morphism_laws_small_budget():
 def test_annihilation_small():
     report = report_to_json(verify_annihilation(3))
     assert report["summary"]["failed"] == 0
+
+
+def test_memoized_morphism_suites_match_the_plain_functions(monkeypatch):
+    """Every memo the two verifiers build is checked against its plain
+    function: with ``functools.cache`` the identity, the reports are
+    equal."""
+    memoized = [report_to_json(verify_morphism_laws(2)),
+                report_to_json(verify_annihilation(3))]
+    monkeypatch.setattr(morphisms.functools, "cache", lambda f: f)
+    plain = [report_to_json(verify_morphism_laws(2)),
+             report_to_json(verify_annihilation(3))]
+    assert memoized == plain
+    assert [r["summary"]["status"] for r in plain] == ["pass", "pass"]
+
+
+def test_morphism_memos_belong_to_one_call(monkeypatch):
+    """A phi2 with the wrong sign on one key fails both phi2 laws, with the
+    same counts memoized or not; with phi2 mended, the next call passes
+    every law, so no memo outlives its call.  No memo is module-level."""
+    plain = morphisms.phi2
+
+    def wrong(word):
+        return plain(word).scale(-1) if word == (2, 1) else plain(word)
+
+    def failed_laws():
+        report = report_to_json(verify_morphism_laws(2))
+        return {law["law"]: law["failed"] for law in report["checks"] if law["status"] != "pass"}
+
+    monkeypatch.setattr(morphisms, "phi2", wrong)
+    memoized = failed_laws()
+    with monkeypatch.context() as m:
+        m.setattr(morphisms.functools, "cache", lambda f: f)
+        assert failed_laws() == memoized
+    assert sorted(memoized) == ["phi2 is comultiplicative", "phi2 is multiplicative"]
+    monkeypatch.setattr(morphisms, "phi2", plain)
+    assert failed_laws() == {}
+    source = inspect.getsource(morphisms)
+    assert not re.search(r"^[a-z_]* = functools\.cache", source, re.M)
 
 
 def test_single_negative_letter_annihilates():
@@ -296,9 +335,9 @@ def test_cancelling_annihilation_cases_match_reference(monkeypatch):
     cases = set()
     computed = morphisms._phi2_of_product
 
-    def recording(s, t):
+    def recording(s, t, *rest):
         cases.add((s, t))
-        return computed(s, t)
+        return computed(s, t, *rest)
 
     monkeypatch.setattr(morphisms, "_phi2_of_product", recording)
     assert report_to_json(verify_annihilation(4))["summary"]["status"] == "pass"

@@ -561,6 +561,23 @@ def test_series_product_matches_the_coordinatewise_reference():
             assert all(got.terms.values())
 
 
+def test_series_product_matches_gamma_of_disjoint_unions():
+    """A reference for ``Series.__mul__`` that adds no exponents: Gamma of
+    a disjoint union walks the P-partitions of the union and multiplies
+    nothing, and it must equal the product of the Gammas of the two parts,
+    on seeded random pairs and every k from 1 to 3."""
+    rng = random.Random(29)
+    checked = nonzero = 0
+    for _ in range(240):
+        p, q = random_poset(rng, 3, range(1, 5)), random_poset(rng, 3, range(5, 9))
+        for k in range(1, 4):
+            union = gamma(p.disjoint_union(q), k)
+            assert union == gamma(p, k) * gamma(q, k), (p, q, k)
+            checked += 1
+            nonzero += bool(union)
+    assert checked == 720 and nonzero >= 600
+
+
 def test_series_arithmetic_keeps_the_kind():
     a = Series(3, {(1, 0, EPS): 2, (0, 0, 0): Fraction(1, 2)})
     b = Series(3, {(1, 0, EPS): -2, (0, 2, 0): 1})
