@@ -4,7 +4,9 @@ Subcommands: product, coproduct, antipode, convert, map, gamma, expand,
 verify.  Signed permutations are written as comma separated signed
 integers ('id' for the empty one), regularized compositions use 'e' for
 epsilon ('empty' for the empty one), and rationals as 'p/q'.  Output is
-JSON by default, '--format text' for a human rendering.
+JSON by default, '--format text' for a human rendering.  Each command's
+own parser reads its arguments; the top-level parser handles only help,
+unknown commands and errors.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
 2 on malformed input or when the output cannot be written.
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from .compositions import EPS, text_to_comp
 from .laws import merge_reports, report_to_json
-from .lincomb import basis_sort_key, lincomb_to_text
+from .lincomb import lincomb_to_text, sorted_keys
 from . import hopf, morphisms, ppartitions
 
 
@@ -50,18 +52,16 @@ def _listing(lc, key_text=None, tensor=False):
     texts and exponents are written with digits, '-', '/', ',', 'e', 'id'
     and 'empty' only, which JSON quotes as they are."""
     terms = lc.terms
-    keys = sorted(terms, key=basis_sort_key)
-    if key_text is None:
-        head = '{\n  "k": %d,\n' % lc.k
-        texts = {x: "e" if x is EPS else str(x) for x in set().union(*keys)}
-        sep = '",\n        "'
-        body = [_EXPS % (terms[e], sep.join(map(texts.get, e))) for e in keys]
+    keys = sorted_keys(terms)
+    head = '{\n  "k": %d,\n' % lc.k if key_text is None else "{\n"
+    if tensor:
+        body = [_PAIR % (terms[kk], key_text(kk[0]), key_text(kk[1])) for kk in keys]
     else:
-        head = "{\n"
-        if tensor:
-            body = [_PAIR % (terms[kk], key_text(kk[0]), key_text(kk[1])) for kk in keys]
-        else:
-            body = [_KEY % (terms[k], key_text(k)) for k in keys]
+        # key_text of a nonempty key joins the texts of its entries by ","
+        texts = {x: "e" if x is EPS else str(x) for x in set().union(*keys)}
+        sep, form = ('",\n        "', _EXPS) if key_text is None else (",", _KEY)
+        body = [form % (terms[k], sep.join(map(texts.get, k)) if k else key_text(k))
+                for k in keys]
     if not body:
         return head + '  "terms": []\n}'
     return head + '  "terms": [\n' + ",\n".join(body) + "\n  ]\n}"
@@ -230,6 +230,7 @@ def build_parser():
         "quasi-symmetric functions",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices  # name -> subcommand parser, filled below
 
     def common(p, nargs_elements=0):
         p.add_argument("--format", choices=("json", "text"), default="json")
@@ -286,9 +287,20 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
+def parse_argv(argv):
+    """``build_parser().parse_args(argv)``, read by the command's parser alone."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # help, an unknown command or no command at all
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    return args
+
+
+def main(argv=None):
+    args = parse_argv(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit

@@ -54,6 +54,14 @@ def basis_sort_key(key):
     return (len(key), *map(_RANK.get, key, key))
 
 
+def sorted_keys(keys):
+    """The keys in ``basis_sort_key`` order; int-only keys by two sorts in C,
+    entrywise then stably by length, as ``_RANK`` ranks an int as itself."""
+    if {int}.issuperset(map(type, set().union(*keys))):
+        return sorted(sorted(keys), key=len)
+    return sorted(keys, key=basis_sort_key)
+
+
 def accumulate(acc, terms, scalar=1):
     """Add scalar * c into ``acc`` for every (key, c) of ``terms``, deleting
     a key as soon as its coefficient sums to zero, so that ``acc`` stays
@@ -103,7 +111,7 @@ class LinComb:
 
     def items(self):
         """Terms in the canonical key order."""
-        return sorted(self.terms.items(), key=lambda kv: basis_sort_key(kv[0]))
+        return [(k, self.terms[k]) for k in sorted_keys(self.terms)]
 
     def __bool__(self):
         return bool(self.terms)

@@ -1,7 +1,9 @@
 """Command line behaviour: encodings, determinism, exit codes."""
 
 import concurrent.futures
+import contextlib
 import gc
+import io
 import json
 import os
 import random
@@ -12,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from wqsym import morphisms
-from wqsym.cli import _listing, build_parser, main
+from wqsym.cli import _listing, build_parser, main, parse_argv
 from wqsym.compositions import EPS
 from wqsym.hopf import ALGEBRAS, context_by_name
 from wqsym.laws import Law, run_laws
@@ -323,6 +325,20 @@ def term_listings():
             yield LinComb.single(x, rng.choice(scalars)), ctx.key_text
         yield LinComb.zero(), ctx.key_text
         yield LinComb.zero(), ctx.key_text, True
+        # the empty key beside keys of other lengths
+        for x in keys[1:12]:
+            yield ctx.antipode(x) + LinComb.single((), rng.choice(scalars)), ctx.key_text
+    qsym = context_by_name("qsym")
+    hsym = context_by_name("hsym", -1)
+    for ctx, n in ((qsym, 5), (hsym, 4)):
+        # products whose terms differ in length: EPS-free quasi-shuffles of
+        # compositions, and hsym at weight -1
+        keys = [key for m in range(1, n) for key in ctx.basis(m)]
+        products = [ctx.product(x, rng.choice(keys)) for x in keys]
+        mixed = [lc for lc in products if len(set(map(len, lc.terms))) > 1]
+        assert len(mixed) > 10
+        for lc in mixed:
+            yield lc, ctx.key_text
     for k in (1, 2, 3):
         yield (Series.zero(k),)
         yield (series_one(k),)
@@ -348,6 +364,71 @@ def test_listing_writer_matches_json_dumps():
     every = "".join(text for text, _ in texts)
     for shape in ('"id"', '"empty"', ',e', '"-1/2"', '"terms": []', '"exps": [', '"e"'):
         assert shape in every
+
+
+def outcome(parse, argv):
+    """What ``parse(argv)`` gives: a namespace, or the exit code of the
+    ``SystemExit`` it raises, with all it writes to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+# valid calls of every command and verify suite, each kind of parse error,
+# help at both levels, unknown commands and negative first positionals
+DISPATCH_CORPUS = [
+    *(["product", "--algebra", name, "1", "1"] for name in ALGEBRAS),
+    ["product", "--algebra", "hsym", "--lambda", "2/3", "--format", "text", "1,-2", "-1"],
+    ["product", "--format=text", "--algebra=ssym", "2,1", "1"],
+    ["coproduct", "--algebra", "rqsym-f", "1,e"],
+    ["antipode", "--algebra", "hsym", "1,-2", "--lambda", "-1"],
+    ["convert", "--from", "f", "--to", "m", "1,e,2"],
+    *(["map", "--which", which, "1"] for which in ("d1", "d2", "phi1M", "phi1F", "phi2")),
+    ["gamma", "--poset", "p.poset", "--vars", "3"],
+    ["expand", "--basis", "m", "1,e", "--vars", "3"],
+    *(["verify", "--suite", suite] for suite in
+      ("hopf", "morphisms", "square", "surjectivity", "gamma")),
+    ["verify", "--suite", "hopf", "--lambda", "-1", "--algebra", "qsym", "--jobs", "2",
+     "--max-degree", "3"],
+    # a missing required option or element, a bad choice, a bad int
+    ["product", "1", "2"],
+    ["product", "--algebra", "hsym", "1"],
+    ["convert", "--from", "f", "1"],
+    ["gamma", "--poset", "p.poset"],
+    ["verify"],
+    ["map", "--which", "phi3", "1"],
+    ["product", "--algebra", "wsym", "1", "2"],
+    ["expand", "--basis", "m", "--vars", "x", "1"],
+    # extra arguments, alone or beside another error
+    ["product", "--algebra", "hsym", "1", "2", "3"],
+    ["coproduct", "--algebra", "hsym", "1", "--bogus"],
+    ["verify", "--suite", "square", "--bogus", "x", "y"],
+    ["convert", "--bogus"],
+    # help, unknown commands, no command, options before the command
+    ["-h"], ["--help"], ["product", "-h"], ["verify", "--help"], ["gamma", "--vars", "2", "-h"],
+    ["bogus"], ["produc", "--algebra", "hsym"], [], ["--format", "json", "product"],
+    ["--bogus"],
+    # negative first positionals, and "--" before the elements
+    ["product", "--algebra", "hsym", "-3,1,2", "-1"],
+    ["antipode", "--algebra", "hsym", "-1"],
+    ["map", "--which", "phi2", "-1,2,3,-4"],
+    ["product", "--algebra", "hsym", "--", "1", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
+def test_dispatch_parses_as_the_top_level_parser(argv):
+    """Parsing with the command's parser alone gives the namespace of the
+    full parse; where that exits, the same code and the same bytes on
+    stdout and stderr."""
+    fast = outcome(parse_argv, list(argv))
+    full = outcome(build_parser().parse_args, list(argv))
+    assert fast == full
+    assert fast[0] != ("exit", 0) or fast[1].startswith("usage: wqsym")
 
 
 # one command of each kind: product, coproduct and antipode on every

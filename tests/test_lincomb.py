@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from wqsym import lincomb
 from wqsym.lincomb import (
     EPS,
     LinComb,
@@ -15,6 +16,7 @@ from wqsym.lincomb import (
     lincomb_to_json,
     lincomb_to_text,
     lc_mul,
+    sorted_keys,
     tensor,
     tensor_bilinear,
 )
@@ -206,6 +208,33 @@ def test_sort_key_matches_its_definition():
         rng.shuffle(keys)
         assert sorted(keys, key=basis_sort_key) == sorted(keys, key=basis_sort_key_reference)
     assert sum(map(len, (words, comps, exps, pairs, triples))) > 5000
+
+
+def test_sorted_keys_match_the_definition_and_sort_int_keys_in_c(monkeypatch):
+    """``sorted_keys`` orders seeded keys of every kind as the plain
+    definition does: signed words of mixed lengths with the empty key,
+    compositions with and without epsilon, exponent tuples and tensor pairs.
+    Keys of ints only never reach ``basis_sort_key``: both of their sorts
+    run in C."""
+    rng = random.Random(19)
+    words = _seeded_keys(rng, lambda r: r.choice([-1, 1]) * r.randint(1, 6), 1500)
+    plain = _seeded_keys(rng, lambda r: r.randint(1, 4), 800)
+    comps = _seeded_keys(rng, lambda r: r.choice([EPS, 1, 2, 3]), 800)
+    exps = _seeded_keys(rng, lambda r: r.choice([0, 0, 1, 2, 10]), 800)
+    eps_exps = _seeded_keys(rng, lambda r: r.choice([0, EPS, 1, 2, 10]), 800)
+    legs = words[:60] + comps[:60]
+    pairs = list({(rng.choice(legs), rng.choice(legs)) for _ in range(3000)} | {((), ())})
+    calls = []
+    ranked = lincomb.basis_sort_key
+    monkeypatch.setattr(lincomb, "basis_sort_key", lambda key: calls.append(key) or ranked(key))
+    for keys, in_c in ((words, True), (plain, True), (exps, True), ([()], True), ([], True),
+                       (comps, False), (eps_exps, False), (pairs, False)):
+        rng.shuffle(keys)
+        calls.clear()
+        assert sorted_keys(keys) == sorted(keys, key=basis_sort_key_reference)
+        assert sorted_keys(dict.fromkeys(keys)) == sorted(keys, key=basis_sort_key_reference)
+        assert (not calls) == in_c
+    assert len({len(k) for k in words}) == 6 and () in words
 
 
 def test_tensor_outer_product():
