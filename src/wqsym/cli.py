@@ -52,16 +52,17 @@ def _listing(lc, key_text=None, tensor=False):
     texts and exponents are written with digits, '-', '/', ',', 'e', 'id'
     and 'empty' only, which JSON quotes as they are."""
     terms = lc.terms
-    keys = sorted_keys(terms)
     head = '{\n  "k": %d,\n' % lc.k if key_text is None else "{\n"
     if tensor:
-        body = [_PAIR % (terms[kk], key_text(kk[0]), key_text(kk[1])) for kk in keys]
+        body = [_PAIR % (terms[kk], key_text(kk[0]), key_text(kk[1]))
+                for kk in sorted_keys(terms)]
     else:
         # key_text of a nonempty key joins the texts of its entries by ","
-        texts = {x: "e" if x is EPS else str(x) for x in set().union(*keys)}
+        letters = set().union(*terms)
+        texts = {x: "e" if x is EPS else str(x) for x in letters}
         sep, form = ('",\n        "', _EXPS) if key_text is None else (",", _KEY)
         body = [form % (terms[k], sep.join(map(texts.get, k)) if k else key_text(k))
-                for k in keys]
+                for k in sorted_keys(terms, letters)]
     if not body:
         return head + '  "terms": []\n}'
     return head + '  "terms": [\n' + ",\n".join(body) + "\n  ]\n}"

@@ -54,10 +54,13 @@ def basis_sort_key(key):
     return (len(key), *map(_RANK.get, key, key))
 
 
-def sorted_keys(keys):
+def sorted_keys(keys, letters=None):
     """The keys in ``basis_sort_key`` order; int-only keys by two sorts in C,
-    entrywise then stably by length, as ``_RANK`` ranks an int as itself."""
-    if {int}.issuperset(map(type, set().union(*keys))):
+    entrywise then stably by length, as ``_RANK`` ranks an int as itself.
+    ``letters`` is ``set().union(*keys)``, for a caller that has built it."""
+    if letters is None:
+        letters = set().union(*keys)
+    if {int}.issuperset(map(type, letters)):
         return sorted(sorted(keys), key=len)
     return sorted(keys, key=basis_sort_key)
 

@@ -24,17 +24,21 @@ the memoized product and coproduct of the ssym and rqsym-m contexts and
 the memoized hsym product.  The hsym coproduct stays plain: a memo of it
 would hold the splits of every signed permutation the suite visits, which
 doubles the memory of the budget-5 run.  ``verify_annihilation`` memoizes
-the suffix tables of each factor.
+the suffix tables of each factor and phi2 of each product by the sign
+shapes of its factors (``_phi2_by_shape``).
 
 The vanishing laws rest on the shape of phi2: it is zero on every word
 that is not neg* pos+ neg?.  ``_phi2_of_product`` computes phi2 of a
 weight -1 product by a dynamic program over the lattice-path states
 (i, j, phase) of the quasi-shuffle, each once per call, entering only the
 states that suffix tables of the factors show can still end in that shape.
+It reads only the sign and the place of a negative letter and never keeps
+one, so one program serves every product with the same sign shapes.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .laws import Law, graded_tuples, run_laws
 from .lincomb import LinComb, lc_mul, tensor_bimap
@@ -227,7 +231,21 @@ def _suffix_tables(word):
     return pos, late, rest
 
 
-def _phi2_of_product(s, t, tables=_suffix_tables):
+def _live(tables_u, tables_v, i, j, phase):
+    """Whether the state (i, j, phase) of the quasi-shuffle of two factors
+    with suffix tables ``tables_u`` and ``tables_v`` can still end in
+    phi2's shape neg* pos+ neg?: the one test of ``_phi2_of_product``'s
+    states, and of the start (0, 0, -1) that kills a whole product."""
+    (pos_u, late_u, rest_u), (pos_v, late_v, rest_v) = tables_u, tables_v
+    has_pos = pos_u[i] or pos_v[j]
+    if phase < 0:  # the block is still to come
+        tail = max(late_u[i], late_v[j]) if has_pos else _INF
+    else:  # nothing positive after the trailing negative
+        tail = phase + max(rest_u[i], rest_v[j]) if not (phase and has_pos) else _INF
+    return tail <= 1  # at most one negative after the block
+
+
+def _phi2_of_product(s, t):
     """phi2 of the weight -1 product s * t, by a dynamic program over the
     lattice paths of the quasi-shuffle of u = s and v = t shifted past s,
 
@@ -240,27 +258,17 @@ def _phi2_of_product(s, t, tables=_suffix_tables):
     coefficient, so every negative prefix that reaches (i, j) shares it.
     phi2 is zero off the shape neg* pos+ neg? (the vanishing lemma) and
     each factor keeps its letters in order, so the suffix tables of u and
-    v decide whether a state can still end in that shape; a dead state is
-    never entered.  ``standardize`` runs once per distinct kept block.
-    ``tables`` computes the suffix tables of a factor, a memo of
-    ``_suffix_tables`` when the caller multiplies the same words often.
+    v decide whether a state can still end in that shape (``_live``); a
+    dead state is never entered, and a dead start returns zero before any
+    memo is built.  ``standardize`` runs once per distinct kept block.
     """
     if not s and not t:
         return LinComb.single(())
     # the tables only read signs, so t's serve for v
-    pos_u, late_u, rest_u = tables(s)
-    pos_v, late_v, rest_v = tables(t)
-
-    def live(i, j, phase):
-        has_pos = pos_u[i] or pos_v[j]
-        if phase < 0:  # the block is still to come
-            tail = max(late_u[i], late_v[j]) if has_pos else _INF
-        else:  # nothing positive after the trailing negative
-            tail = phase + max(rest_u[i], rest_v[j]) if not (phase and has_pos) else _INF
-        return tail <= 1  # at most one negative after the block
-
-    if not live(0, 0, -1):
+    tables_u, tables_v = _suffix_tables(s), _suffix_tables(t)
+    if not _live(tables_u, tables_v, 0, 0, -1):
         return LinComb.zero()
+    live = functools.partial(_live, tables_u, tables_v)
     u, v = s, shift(t, len(s))
     m, n = len(u), len(v)
     memo = {}
@@ -295,6 +303,29 @@ def _phi2_of_product(s, t, tables=_suffix_tables):
     return LinComb.wrap({k: c for k, c in terms.items() if c})
 
 
+def _sign_shape(word):
+    """``word`` with every negative letter made -1: ``_phi2_of_product``
+    reads a negative letter's sign (tables, merge test, phase) and place
+    only, so it takes the same value on the shapes as on the factors."""
+    return tuple(a if a > 0 else -1 for a in word)
+
+
+def _phi2_by_shape():
+    """phi2 of the weight -1 product s * t, with memos for one verifier
+    call: zero on a dead start, read off the suffix tables (by word),
+    else ``_phi2_of_product`` of the sign shapes (by pair of shapes)."""
+    tables = functools.cache(_suffix_tables)
+    by_shape = functools.cache(_phi2_of_product)
+    zero = LinComb.zero()
+
+    def product(s, t):
+        if (s or t) and not _live(tables(s), tables(t), 0, 0, -1):
+            return zero
+        return by_shape(_sign_shape(s), _sign_shape(t))
+
+    return product
+
+
 def verify_annihilation(max_len=4, shard=(0, 1)):
     """The three vanishing laws for phi2 at weight -1.
 
@@ -306,28 +337,33 @@ def verify_annihilation(max_len=4, shard=(0, 1)):
       product on both sides.
 
     The first law shards its left factors and checks each against every
-    right factor.  Every product goes through ``_phi2_of_product``, whose
-    dynamic program enters only the states (i, j, phase) that its suffix
-    tables show can still end in phi2's shape, each once per call; the
-    tables of each factor are computed once for this whole call.  The
-    case selection below reads the factors' shape itself, not the tables:
+    right factor.  Every product goes through this call's
+    ``_phi2_by_shape``: a dead start state, as in every product of the
+    first law and most of the second, costs two table lookups, and the live
+    products share one dynamic program per pair of sign shapes.  The case
+    selection below reads the factors' shape itself, not the tables:
     ``_block_and_trail`` is None exactly on a +-+ pattern.  The pairs of
-    the second law are generated as the runner walks them, never listed.
+    the first two laws are generated in C as the runner walks them.
     """
     every = [pi for n in range(max_len + 1) for pi in signed_permutations(n)]
 
     # single-block factors, with the length of their trailing negative run
     blocky = [(pi, shape[1]) for pi in every if (shape := _block_and_trail(pi))]
-    qualifying = ((s, t) for s, js in blocky for t, jt in blocky if js >= 2 or jt >= 2)
-    tables = functools.cache(_suffix_tables)
-    kills = lambda s, t: not _phi2_of_product(s, t, tables)
+    blocks = [pi for pi, _ in blocky]
+    trailing = [pi for pi, j in blocky if j >= 2]
+    # (s, t) with js >= 2 or jt >= 2, row by row in the order of blocky
+    qualifying = itertools.chain.from_iterable(
+        zip(itertools.repeat(s), blocks if js >= 2 else trailing) for s, js in blocky)
+    product = _phi2_by_shape()
+    kills = lambda s, t: not product(s, t)
     kills_both_ways = lambda s, t: kills(s, t) and kills(t, s)
     neg = (-1,)
 
     return run_laws([
         Law("phi2 kills +-+ patterns",
             [(pi,) for pi in every if _block_and_trail(pi) is None],
-            kills_both_ways, perm_to_text, expand=lambda unit: (unit + (t,) for t in every)),
+            kills_both_ways, perm_to_text,
+            expand=lambda unit: zip(itertools.repeat(unit[0]), every)),
         Law("phi2 kills trailing negative runs", qualifying, kills, perm_to_text),
         Law("phi2 kills products with the negative letter", [(pi,) for pi in every],
             lambda s: kills_both_ways(s, neg), perm_to_text),

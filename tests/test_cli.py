@@ -18,12 +18,12 @@ from wqsym.cli import _listing, build_parser, main, parse_argv
 from wqsym.compositions import EPS
 from wqsym.hopf import ALGEBRAS, context_by_name
 from wqsym.laws import Law, run_laws
-from wqsym.lincomb import LinComb, lincomb_from_json, lincomb_to_json
+from wqsym.lincomb import LinComb, lincomb_from_json
 from wqsym.ppartitions import Series, expand_f, expand_m
 from wqsym.words import text_to_perm
 from wqsym.compositions import text_to_comp
 
-from oracles import series_one
+from oracles import basis_sort_key_reference, series_one
 
 
 def run(capsys, *argv):
@@ -348,11 +348,17 @@ def term_listings():
 
 
 def reference_listing(lc, key_text=None, tensor=False):
-    """``json.dumps(indent=2)`` of the listing that ``_listing`` writes."""
+    """``json.dumps(indent=2)`` of the listing that ``_listing`` writes: the
+    form of ``Series.to_json`` or ``lincomb_to_json``, its terms in the
+    order of ``basis_sort_key_reference``, so that the writer's order is
+    checked against the definition rather than against ``sorted_keys``."""
+    terms = [(k, str(lc.terms[k])) for k in sorted(lc.terms, key=basis_sort_key_reference)]
     if key_text is None:
-        return json.dumps(lc.to_json(), indent=2)
+        exps = lambda e: ["e" if x is EPS else str(x) for x in e]
+        return json.dumps({"k": lc.k, "terms": [{"coeff": c, "exps": exps(e)} for e, c in terms]},
+                          indent=2)
     encode = (lambda kk: [key_text(kk[0]), key_text(kk[1])]) if tensor else key_text
-    return json.dumps(lincomb_to_json(lc, encode), indent=2)
+    return json.dumps({"terms": [{"coeff": c, "key": encode(k)} for k, c in terms]}, indent=2)
 
 
 def test_listing_writer_matches_json_dumps():

@@ -233,6 +233,7 @@ def test_sorted_keys_match_the_definition_and_sort_int_keys_in_c(monkeypatch):
         calls.clear()
         assert sorted_keys(keys) == sorted(keys, key=basis_sort_key_reference)
         assert sorted_keys(dict.fromkeys(keys)) == sorted(keys, key=basis_sort_key_reference)
+        assert sorted_keys(keys, set().union(*keys)) == sorted(keys, key=basis_sort_key_reference)
         assert (not calls) == in_c
     assert len({len(k) for k in words}) == 6 and () in words
 

@@ -330,16 +330,22 @@ def test_cancelling_annihilation_cases_match_reference(monkeypatch):
     """The vanishing laws only assert zero.  In most of their products no
     raw word has phi2's shape; the products whose raw words include some
     that phi2 keeps cancel for real, and the dynamic program must compute
-    those sums.  Every such case of verify_annihilation(4) matches the
-    reference, and there are enough of them to exercise cancellation."""
-    cases = set()
-    computed = morphisms._phi2_of_product
+    those sums.  Every such pair (s, t) that verify_annihilation(4) checks
+    gets, from the memo by sign shape, the reference value of s * t itself,
+    and there are enough of them to exercise cancellation."""
+    cases = {}
+    by_shape = morphisms._phi2_by_shape
 
-    def recording(s, t, *rest):
-        cases.add((s, t))
-        return computed(s, t, *rest)
+    def recording():
+        product = by_shape()
 
-    monkeypatch.setattr(morphisms, "_phi2_of_product", recording)
+        def record(s, t):
+            cases[s, t] = got = product(s, t)
+            return got
+
+        return record
+
+    monkeypatch.setattr(morphisms, "_phi2_by_shape", recording)
     assert report_to_json(verify_annihilation(4))["summary"]["status"] == "pass"
     # phi2 keeps a word by the signs of its letters alone, and shift keeps
     # signs, so one product per pair of sign patterns finds the kept words
@@ -355,4 +361,53 @@ def test_cancelling_annihilation_cases_match_reference(monkeypatch):
     cancelling = [(s, t) for s, t in sorted(cases) if has_kept_raw_word(s, t)]
     assert len(cancelling) >= 300
     for s, t in cancelling:
-        assert computed(s, t) == reference_phi2_of_product(s, t), (s, t)
+        assert cases[s, t] == reference_phi2_of_product(s, t), (s, t)
+
+
+def memo_key_mismatches(key, values):
+    """How many pairs of ``values`` (pair -> phi2 of its product) differ in
+    value from the first pair with the same ``key``."""
+    first = {}
+    return sum(first.setdefault(key(*pair), got) != got for pair, got in values.items())
+
+
+def test_phi2_of_product_depends_on_the_sign_shapes_alone():
+    """The memo of verify_annihilation computes one product per pair of
+    sign shapes.  That key is sound: over every pair of total length <= 5,
+    phi2 of the product of the shapes equals phi2 of the product, so does
+    the memoized product of one call, and no two pairs with the same
+    shapes differ.  A key of the signs alone is not: it merges pairs whose
+    kept blocks standardize differently.  The vanishing laws cannot catch
+    a bad key, as every value they see is zero."""
+    shape = morphisms._sign_shape
+    product = morphisms._phi2_by_shape()
+    values = {(s, t): _phi2_of_product(s, t) for s, t in small_pairs(5)}
+    assert sum(map(bool, values.values())) >= 3000
+    for (s, t), want in values.items():
+        assert _phi2_of_product(shape(s), shape(t)) == want, (s, t)
+        assert product(s, t) == want, (s, t)
+    assert memo_key_mismatches(lambda s, t: (shape(s), shape(t)), values) == 0
+    signs = lambda word: tuple(a > 0 for a in word)
+    assert memo_key_mismatches(lambda s, t: (signs(s), signs(t)), values) > 1000
+
+
+def test_annihilation_memos_belong_to_one_call(monkeypatch):
+    """A phi2 of products that keeps a term of (1) * (-1) fails the
+    negative-letter law once; with it mended, the next call passes every
+    law, so the memo by sign shape does not outlive its call.  No memo in
+    the module is module-level."""
+    plain = morphisms._phi2_of_product
+
+    def wrong(s, t):
+        return LinComb.single((1,)) if (s, t) == ((1,), (-1,)) else plain(s, t)
+
+    def failed_laws():
+        report = report_to_json(verify_annihilation(3))
+        return {law["law"]: law["failed"] for law in report["checks"] if law["status"] != "pass"}
+
+    monkeypatch.setattr(morphisms, "_phi2_of_product", wrong)
+    assert failed_laws() == {"phi2 kills products with the negative letter": 1}
+    monkeypatch.setattr(morphisms, "_phi2_of_product", plain)
+    assert failed_laws() == {}
+    source = inspect.getsource(morphisms)
+    assert not re.search(r"^\w+ = (functools\.cache|\{|dict\()", source, re.M)
