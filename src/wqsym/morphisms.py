@@ -24,16 +24,13 @@ the memoized product and coproduct of the ssym and rqsym-m contexts and
 the memoized hsym product.  The hsym coproduct stays plain: a memo of it
 would hold the splits of every signed permutation the suite visits, which
 doubles the memory of the budget-5 run.  ``verify_annihilation`` memoizes
-the suffix tables of each factor and phi2 of each product by the sign
-shapes of its factors (``_phi2_by_shape``).
+through ``_phi2_by_shape``.
 
 The vanishing laws rest on the shape of phi2: it is zero on every word
-that is not neg* pos+ neg?.  ``_phi2_of_product`` computes phi2 of a
-weight -1 product by a dynamic program over the lattice-path states
-(i, j, phase) of the quasi-shuffle, each once per call, entering only the
-states that suffix tables of the factors show can still end in that shape.
-It reads only the sign and the place of a negative letter and never keeps
-one, so one program serves every product with the same sign shapes.
+that is not neg* pos+ neg?.  Two places read that shape:
+``_block_and_trail``, which phi2, phi1_F, the dead starts of
+``_phi2_by_shape`` and the laws' cases use, and the phase of the dynamic
+program in ``_phi2_of_product``.
 """
 from __future__ import annotations
 
@@ -49,12 +46,7 @@ from .compositions import (
     wcomp,
     wcomp_preimage,
 )
-from .hopf import (
-    context_by_name,
-    deconcatenation,
-    f_to_m_cached,
-    m_to_f_cached,
-)
+from .hopf import context_by_name, f_to_m_cached, m_to_f_cached
 from .words import (
     perm_to_text,
     positive_permutations,
@@ -182,11 +174,12 @@ def verify_morphism_laws(budget=4, shard=(0, 1)):
     signed_pairs = graded_tuples(signed, 2, reach)
     signed_singles = graded_tuples(signed, 1, reach)
     comp_singles = graded_tuples(comps, 1, reach)
-    # phi2 and d2 multiplicativity share the memoized product of each pair;
-    # the coproduct has no memo, for the memory (see the module docstring)
-    hsym = (context_by_name("hsym", -1).product,
-            functools.partial(deconcatenation, leg=standardize))
     memoized = lambda ctx: (ctx.product, ctx.coproduct)
+    # phi2 and d2 multiplicativity share the memoized product of each pair;
+    # the coproduct is the plain function under the context's memo, if it
+    # has one, for the memory (see the module docstring)
+    product, coproduct = memoized(context_by_name("hsym", -1))
+    hsym = (product, getattr(coproduct, "__wrapped__", coproduct))
     ssym = memoized(context_by_name("ssym"))
     # d1 and d2 land in F; their laws are checked after F -> M, where the
     # product is the defining quasi-shuffle, never ``rqsym_product_f``,
@@ -212,39 +205,6 @@ def verify_morphism_laws(budget=4, shard=(0, 1)):
     ], shard)
 
 
-_INF = float("inf")
-
-
-def _suffix_tables(word):
-    """For each suffix word[i:], from one right-to-left scan: whether a
-    positive letter is left; how many negatives follow its last positive
-    (0 with none, inf past a +-+ pattern); how many negatives it holds
-    (inf when one precedes a positive)."""
-    n = len(word)
-    pos, late, rest = [False] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        if word[i] > 0:
-            pos[i], late[i], rest[i] = True, rest[i + 1], rest[i + 1]
-        else:
-            pos[i], late[i] = pos[i + 1], late[i + 1]
-            rest[i] = _INF if pos[i + 1] else n - i
-    return pos, late, rest
-
-
-def _live(tables_u, tables_v, i, j, phase):
-    """Whether the state (i, j, phase) of the quasi-shuffle of two factors
-    with suffix tables ``tables_u`` and ``tables_v`` can still end in
-    phi2's shape neg* pos+ neg?: the one test of ``_phi2_of_product``'s
-    states, and of the start (0, 0, -1) that kills a whole product."""
-    (pos_u, late_u, rest_u), (pos_v, late_v, rest_v) = tables_u, tables_v
-    has_pos = pos_u[i] or pos_v[j]
-    if phase < 0:  # the block is still to come
-        tail = max(late_u[i], late_v[j]) if has_pos else _INF
-    else:  # nothing positive after the trailing negative
-        tail = phase + max(rest_u[i], rest_v[j]) if not (phase and has_pos) else _INF
-    return tail <= 1  # at most one negative after the block
-
-
 def _phi2_of_product(s, t):
     """phi2 of the weight -1 product s * t, by a dynamic program over the
     lattice paths of the quasi-shuffle of u = s and v = t shifted past s,
@@ -253,22 +213,16 @@ def _phi2_of_product(s, t):
 
     A state (i, j, phase) has spent u[:i] and v[:j]; ``phase`` is -1 while
     the word holds only negatives, 0 inside its positive block, 1 after
-    the one trailing negative.  Its value, computed once per call in a
-    local memo, maps each positive block the rest can add to its signed
-    coefficient, so every negative prefix that reaches (i, j) shares it.
-    phi2 is zero off the shape neg* pos+ neg? (the vanishing lemma) and
-    each factor keeps its letters in order, so the suffix tables of u and
-    v decide whether a state can still end in that shape (``_live``); a
-    dead state is never entered, and a dead start returns zero before any
-    memo is built.  ``standardize`` runs once per distinct kept block.
+    the one trailing negative.  The phase enforces phi2's shape neg* pos+
+    neg?: a phase-1 state has no successors, and a finished word counts
+    +1 at phase 0, -1 at phase 1 and nothing at phase -1.  A state's
+    value, computed once per call in a local memo, maps each positive
+    block the rest can add to its signed coefficient, so every negative
+    prefix that reaches (i, j) shares it.  ``standardize`` runs once per
+    distinct kept block.
     """
     if not s and not t:
         return LinComb.single(())
-    # the tables only read signs, so t's serve for v
-    tables_u, tables_v = _suffix_tables(s), _suffix_tables(t)
-    if not _live(tables_u, tables_v, 0, 0, -1):
-        return LinComb.zero()
-    live = functools.partial(_live, tables_u, tables_v)
     u, v = s, shift(t, len(s))
     m, n = len(u), len(v)
     memo = {}
@@ -277,7 +231,10 @@ def _phi2_of_product(s, t):
         key = (i, j, phase)
         if key in memo:
             return memo[key]
-        out = memo[key] = {} if i < m or j < n else {(): (-1) ** phase}
+        end = i == m and j == n
+        out = memo[key] = {(): (-1) ** phase} if end and phase >= 0 else {}
+        if end or phase == 1:
+            return out
         steps = []
         if i < m:
             steps.append((u[i], i + 1, j, 1))
@@ -287,10 +244,9 @@ def _phi2_of_product(s, t):
                 steps.append((u[i], i + 1, j + 1, -1))
         for letter, i2, j2, sign in steps:
             nxt = 0 if letter > 0 else phase + (phase >= 0)
-            if live(i2, j2, nxt):
-                for block, c in value(i2, j2, nxt).items():
-                    block = (letter,) + block if letter > 0 else block
-                    out[block] = out.get(block, 0) + sign * c
+            for block, c in value(i2, j2, nxt).items():
+                block = (letter,) + block if letter > 0 else block
+                out[block] = out.get(block, 0) + sign * c
         return out
 
     top = value(0, 0, -1)
@@ -304,22 +260,36 @@ def _phi2_of_product(s, t):
 
 
 def _sign_shape(word):
-    """``word`` with every negative letter made -1: ``_phi2_of_product``
-    reads a negative letter's sign (tables, merge test, phase) and place
-    only, so it takes the same value on the shapes as on the factors."""
+    """``word`` with every negative letter made -1.  ``_phi2_of_product``
+    reads only the sign and the place of a negative letter, and never
+    keeps one in a block, so it takes the same value on the shapes as on
+    the factors."""
     return tuple(a if a > 0 else -1 for a in word)
 
 
 def _phi2_by_shape():
     """phi2 of the weight -1 product s * t, with memos for one verifier
-    call: zero on a dead start, read off the suffix tables (by word),
-    else ``_phi2_of_product`` of the sign shapes (by pair of shapes)."""
-    tables = functools.cache(_suffix_tables)
+    call: zero on a dead start, else ``_phi2_of_product`` of the sign
+    shapes (by pair of shapes).
+
+    A start is dead when no raw word of s * t has phi2's shape.  A raw word
+    keeps the letters of each factor in order, and a merge joins a negative
+    of s to one of t, so that holds exactly when neither factor has a
+    positive letter, or one has a +-+ pattern or two negatives after its
+    block; ``_block_and_trail`` of each word (memoized by word) decides it.
+    """
     by_shape = functools.cache(_phi2_of_product)
     zero = LinComb.zero()
 
+    @functools.cache
+    def start(word):
+        # None when word kills every product, else whether it has a positive letter
+        shape = _block_and_trail(word)
+        return None if shape is None or shape[0] and shape[1] > 1 else bool(shape[0])
+
     def product(s, t):
-        if (s or t) and not _live(tables(s), tables(t), 0, 0, -1):
+        a, b = start(s), start(t)
+        if None in (a, b) or (s or t) and not (a or b):
             return zero
         return by_shape(_sign_shape(s), _sign_shape(t))
 
@@ -338,11 +308,9 @@ def verify_annihilation(max_len=4, shard=(0, 1)):
 
     The first law shards its left factors and checks each against every
     right factor.  Every product goes through this call's
-    ``_phi2_by_shape``: a dead start state, as in every product of the
-    first law and most of the second, costs two table lookups, and the live
-    products share one dynamic program per pair of sign shapes.  The case
-    selection below reads the factors' shape itself, not the tables:
-    ``_block_and_trail`` is None exactly on a +-+ pattern.  The pairs of
+    ``_phi2_by_shape``, where each product of the first law and most of the
+    second is a dead start.  The case selection rests on
+    ``_block_and_trail`` being None exactly on a +-+ pattern.  The pairs of
     the first two laws are generated in C as the runner walks them.
     """
     every = [pi for n in range(max_len + 1) for pi in signed_permutations(n)]

@@ -272,7 +272,8 @@ def test_jobs_do_not_change_output(capsys):
     ("--suite", "surjectivity"),
     ("--suite", "hopf", "--algebra", "rqsym-f", "--lambda", "-1"),
     ("--suite", "hopf", "--algebra", "qsym", "--lambda", "-1"),
-], ids=["surjectivity", "hopf-rqsym-f", "hopf-qsym"])
+    ("--suite", "morphisms"),
+], ids=["surjectivity", "hopf-rqsym-f", "hopf-qsym", "morphisms"])
 def test_more_suites_pass_for_any_split(capsys, flags):
     args = ("verify", *flags, "--max-degree", "2")
     code, solo, _ = run(capsys, *args, "--jobs", "1")
