@@ -11,8 +11,9 @@ freely and compare equal where they should.
 No stored coefficient is ever zero, so equality of combinations is plain
 equality of the underlying term dicts.  Every sum of terms goes through
 one accumulator, ``accumulate``, which adds scaled terms into a dict and
-drops a key the moment its coefficient sums to zero; products build
-their dict with it and adopt the result with ``LinComb.wrap``.
+drops a key the moment its coefficient sums to zero.  A bilinear kernel
+feeds it one stream of terms, ``LinComb(<generator>)`` or, in ``lc_mul``,
+each product's own terms: never a combination built per pair of terms.
 """
 from __future__ import annotations
 
@@ -173,7 +174,8 @@ class LinComb:
 
 
 def lc_mul(a, b, mult):
-    """Bilinear extension of a basis product mult: (key, key) -> LinComb."""
+    """Bilinear extension of a basis product mult: (key, key) -> LinComb;
+    a generator costs more here than one ``accumulate`` per pair."""
     out = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
@@ -183,29 +185,25 @@ def lc_mul(a, b, mult):
 
 def tensor(a, b):
     """Outer product of two combinations: keys become pairs."""
-    out = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            out[(ka, kb)] = ca * cb
-    return LinComb.wrap(out)
+    return LinComb.wrap({(ka, kb): ca * cb for ka, ca in a.terms.items()
+                         for kb, cb in b.terms.items()})
 
 
 def tensor_bilinear(a, b, mult):
-    """Componentwise product of tensors: (x@y)(u@v) = (xu)@(yv)."""
-    out = {}
-    for (xa, ya), ca in a.terms.items():
-        for (xb, yb), cb in b.terms.items():
-            accumulate(out, tensor(mult(xa, xb), mult(ya, yb)).terms.items(), ca * cb)
-    return LinComb.wrap(out)
+    """Componentwise product of tensors: (x@y)(u@v) = (xu)@(yv), as one
+    stream of terms into the accumulator, with no tensor per pair."""
+    return LinComb(((x, y), wx * cy) for (xa, ya), ca in a.terms.items()
+                   for (xb, yb), cb in b.terms.items()
+                   for c, xs, ys in [(ca * cb, mult(xa, xb).terms, mult(ya, yb).terms)]
+                   for x, cx in xs.items() for wx in [c * cx] for y, cy in ys.items())
 
 
 def tensor_bimap(t, f, g):
-    """Apply basis maps to both tensor legs: sum c * f(a) @ g(b)."""
-    return LinComb(
-        (key, c * ct)
-        for (ka, kb), c in t.terms.items()
-        for key, ct in tensor(f(ka), g(kb)).terms.items()
-    )
+    """Apply basis maps to both tensor legs: sum c * f(a) @ g(b), as one
+    stream of terms into the accumulator, with no tensor per term."""
+    return LinComb(((x, y), wx * cy) for (ka, kb), c in t.terms.items()
+                   for xs, ys in [(f(ka).terms, g(kb).terms)]
+                   for x, cx in xs.items() for wx in [c * cx] for y, cy in ys.items())
 
 
 def lincomb_to_json(lc, encode_key):

@@ -34,8 +34,8 @@ program in ``_phi2_of_product``.
 """
 from __future__ import annotations
 
-import functools
 import itertools
+from functools import cache
 
 from .laws import Law, graded_tuples, run_laws
 from .lincomb import LinComb, lc_mul, tensor_bimap
@@ -176,8 +176,8 @@ def verify_morphism_laws(budget=4, shard=(0, 1)):
     comp_singles = graded_tuples(comps, 1, reach)
     memoized = lambda ctx: (ctx.product, ctx.coproduct)
     # phi2 and d2 multiplicativity share the memoized product of each pair;
-    # the coproduct is the plain function under the context's memo, if it
-    # has one, for the memory (see the module docstring)
+    # the coproduct is the plain function under the context's memo, if it has
+    # one (perfbench's tracer replaces it), for the memory (see the module docstring)
     product, coproduct = memoized(context_by_name("hsym", -1))
     hsym = (product, getattr(coproduct, "__wrapped__", coproduct))
     ssym = memoized(context_by_name("ssym"))
@@ -185,14 +185,14 @@ def verify_morphism_laws(budget=4, shard=(0, 1)):
     # product is the defining quasi-shuffle, never ``rqsym_product_f``,
     # which is itself built on d2 being multiplicative
     monomial = memoized(context_by_name("rqsym-m"))
-    in_m = lambda f: functools.cache(lambda key: f(key).map_basis(f_to_m_cached))
-    phi1 = functools.cache(phi1_m)
+    in_m = lambda f: cache(lambda key: f(key).map_basis(f_to_m_cached))
+    phi1 = cache(phi1_m)
 
     def phi1_bases(a):
         return phi1_f(a), f_to_m_cached(a).map_basis(phi1).map_basis(m_to_f_cached)
 
     return run_laws([
-        *_hom_laws("phi2", functools.cache(phi2), hsym, ssym, signed_pairs,
+        *_hom_laws("phi2", cache(phi2), hsym, ssym, signed_pairs,
                    signed_singles, perm_to_text, perm_to_text),
         *_hom_laws("d2", in_m(d2), hsym, monomial, signed_pairs, signed_singles,
                    perm_to_text, comp_to_text),
@@ -278,10 +278,10 @@ def _phi2_by_shape():
     positive letter, or one has a +-+ pattern or two negatives after its
     block; ``_block_and_trail`` of each word (memoized by word) decides it.
     """
-    by_shape = functools.cache(_phi2_of_product)
+    by_shape = cache(_phi2_of_product)
     zero = LinComb.zero()
 
-    @functools.cache
+    @cache
     def start(word):
         # None when word kills every product, else whether it has a positive letter
         shape = _block_and_trail(word)

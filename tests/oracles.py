@@ -29,7 +29,7 @@ from wqsym.compositions import (
     total_weight,
 )
 from wqsym.hopf import context_by_name, f_to_m, m_to_f
-from wqsym.lincomb import LinComb, accumulate, lc_mul
+from wqsym.lincomb import LinComb, accumulate, lc_mul, tensor
 from wqsym.ppartitions import Series, chain_poset, gamma
 from wqsym.words import quasi_shuffle, shift, sign_bullet, standardize
 
@@ -325,3 +325,32 @@ def near_concat(alpha, beta):
     if beta[0] is EPS:
         raise ValueError("near concatenation undefined: right part at position 1 is e")
     return tuple(alpha[:-1]) + (alpha[-1] + beta[0],) + tuple(beta[1:])
+
+
+def lc_mul_reference(a, b, mult):
+    """``lincomb.lc_mul`` pair by pair, summed with ``+``: the product of
+    each pair of terms, scaled by the product of their coefficients."""
+    out = LinComb.zero()
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            out = out + mult(ka, kb).scale(ca * cb)
+    return out
+
+
+def tensor_bilinear_reference(a, b, mult):
+    """``lincomb.tensor_bilinear`` pair by pair: the ``tensor`` of the two
+    leg products of each pair of terms, then one ``accumulate`` of it."""
+    out = {}
+    for (xa, ya), ca in a.terms.items():
+        for (xb, yb), cb in b.terms.items():
+            accumulate(out, tensor(mult(xa, xb), mult(ya, yb)).terms.items(), ca * cb)
+    return LinComb.wrap(out)
+
+
+def tensor_bimap_reference(t, f, g):
+    """``lincomb.tensor_bimap`` term by term: the ``tensor`` of the two leg
+    images of each term, then one ``accumulate`` of it."""
+    out = {}
+    for (ka, kb), c in t.terms.items():
+        accumulate(out, tensor(f(ka), g(kb)).terms.items(), c)
+    return LinComb.wrap(out)

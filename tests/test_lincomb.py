@@ -19,10 +19,16 @@ from wqsym.lincomb import (
     sorted_keys,
     tensor,
     tensor_bilinear,
+    tensor_bimap,
 )
 from wqsym.words import shifted_shuffle
 
-from oracles import basis_sort_key_reference
+from oracles import (
+    basis_sort_key_reference,
+    lc_mul_reference,
+    tensor_bilinear_reference,
+    tensor_bimap_reference,
+)
 
 
 SIGMA = (1, 2)
@@ -93,6 +99,53 @@ def test_map_basis_matches_the_accumulated_sum():
         assert LinComb.single(key).map_basis(f) is f(key)
         assert LinComb.single(key, Fraction(1)).map_basis(f) is f(key)
         assert LinComb.single(key, -1).map_basis(f) is not f(key)
+
+
+def test_bilinear_kernels_match_their_per_pair_references():
+    """``lc_mul``, ``tensor_bilinear`` and ``tensor_bimap`` store the same
+    terms as their pair-by-pair references on seeded operands: Fraction
+    coefficients, terms that cancel across pairs (some results exactly
+    zero) and empty operands; no result stores a zero coefficient."""
+    rng = random.Random(22)
+    coeffs = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+    fold = lambda k: tuple(abs(x) for x in k)
+
+    def word():
+        return tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randrange(3)))
+
+    def combo(key, size):
+        return LinComb((key(), rng.choice(coeffs)) for _ in range(rng.randrange(size)))
+
+    def unfold(key):
+        # zero once keys are folded: key minus key with every letter negated
+        return LinComb.single(key) - LinComb.single(tuple(-x for x in key))
+
+    # leg products and maps by the folded key, so unfold(k) maps to zero,
+    # with Fraction coefficients and a sign that cancels between pairs
+    mult = lambda x, y: LinComb({fold(x) + fold(y): Fraction(1, 3),
+                                 fold(y) + fold(x): (-1) ** len(x)})
+    f = lambda k: LinComb({fold(k): 2, fold(k)[::-1]: Fraction(-1, 2)})
+    g = lambda k: LinComb({fold(k) + (1,): Fraction(3, 4), (): -1})
+    zero = LinComb.zero()
+    kinds = {"zero": 0, "fraction": 0}
+    for _ in range(60):
+        a, b = combo(word, 5), combo(word, 5)
+        null = unfold(word() + (1,))
+        ta = combo(lambda: (word(), word()), 5)
+        tb = combo(lambda: (word(), word()), 5)
+        for x, y in [(a, b), (null, b), (a + null, b), (b, null.scale(Fraction(1, 2)) - a),
+                     (zero, b), (a, zero), (zero, zero)]:
+            txy = tensor(x, y)
+            results = [(lc_mul(x, y, mult), lc_mul_reference(x, y, mult)),
+                       (tensor_bilinear(txy, ta, mult), tensor_bilinear_reference(txy, ta, mult)),
+                       (tensor_bilinear(tb, txy, mult), tensor_bilinear_reference(tb, txy, mult)),
+                       (tensor_bimap(txy, f, g), tensor_bimap_reference(txy, f, g))]
+            for got, want in results:
+                assert got.terms == want.terms
+                assert 0 not in got.terms.values()
+                kinds["zero"] += not got.terms
+                kinds["fraction"] += any(type(c) is Fraction for c in got.terms.values())
+    assert kinds["zero"] > 200 and kinds["fraction"] > 200, kinds
 
 
 def test_tensor_bilinear_empty():

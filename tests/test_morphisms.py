@@ -113,11 +113,13 @@ def test_annihilation_small():
 
 def test_memoized_morphism_suites_match_the_plain_functions(monkeypatch):
     """Every memo the two verifiers build is checked against its plain
-    function: with ``functools.cache`` the identity, the reports are
-    equal."""
+    function: with ``morphisms.cache`` the identity, the reports are
+    equal.  The patch reaches only the memos of ``morphisms``: the hsym
+    context keeps its memoized coproduct, whose ``__wrapped__`` the morphism
+    laws read."""
     memoized = [report_to_json(verify_morphism_laws(2)),
                 report_to_json(verify_annihilation(3))]
-    monkeypatch.setattr(morphisms.functools, "cache", lambda f: f)
+    monkeypatch.setattr(morphisms, "cache", lambda f: f)
     plain = [report_to_json(verify_morphism_laws(2)),
              report_to_json(verify_annihilation(3))]
     assert memoized == plain
@@ -140,13 +142,13 @@ def test_morphism_memos_belong_to_one_call(monkeypatch):
     monkeypatch.setattr(morphisms, "phi2", wrong)
     memoized = failed_laws()
     with monkeypatch.context() as m:
-        m.setattr(morphisms.functools, "cache", lambda f: f)
+        m.setattr(morphisms, "cache", lambda f: f)
         assert failed_laws() == memoized
     assert sorted(memoized) == ["phi2 is comultiplicative", "phi2 is multiplicative"]
     monkeypatch.setattr(morphisms, "phi2", plain)
     assert failed_laws() == {}
     source = inspect.getsource(morphisms)
-    assert not re.search(r"^[a-z_]* = functools\.cache", source, re.M)
+    assert not re.search(r"^[a-z_]* = (functools\.)?cache\b", source, re.M)
 
 
 def test_single_negative_letter_annihilates():
@@ -418,4 +420,4 @@ def test_annihilation_memos_belong_to_one_call(monkeypatch):
     monkeypatch.setattr(morphisms, "_phi2_of_product", plain)
     assert failed_laws() == {}
     source = inspect.getsource(morphisms)
-    assert not re.search(r"^\w+ = (functools\.cache|\{|dict\()", source, re.M)
+    assert not re.search(r"^\w+ = ((functools\.)?cache\b|\{|dict\()", source, re.M)
