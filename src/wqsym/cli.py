@@ -44,8 +44,8 @@ def _listing(lc, key_text=None, tensor=False):
     the terms: ``listing`` is ``lincomb_to_json(lc, encode)``, with
     ``encode`` the key's ``key_text``, or the list of its legs' texts when
     ``tensor`` is set; with no ``key_text``, ``lc`` is a ``Series`` in
-    k >= 1 variables, as ``--vars`` requires, and ``listing`` its
-    ``to_json()``.
+    k >= 1 variables, as ``--vars`` requires, and ``listing`` the form that
+    ``Series.from_json`` reads: ``k`` and each term's ``coeff`` and ``exps``.
 
     ``indent`` switches ``json.dumps`` to its pure-Python encoder, which
     costs more than most of the results it prints.  Coefficients, key

@@ -12,6 +12,11 @@ one.  The unit is the empty key, and the counit picks out its
 coefficient.  Every degree stratum is finite, so ``verify_hopf`` can
 sweep it.
 
+The coproduct of signed permutations, the standardized deconcatenation, is
+``standard_splits``: dropping a letter of absolute value m from a standard
+word moves every letter of absolute value above m one step towards zero, so
+each leg is read off its longer neighbour, from the key itself, with no sort.
+
 The fundamental product goes through signed permutations, by the paper's
 P-partition theorem: Gamma(pi) = F_{wcomp(pi)}, and Gamma takes the
 weight -1 shifted quasi-shuffle to the product of generating functions,
@@ -59,7 +64,6 @@ from .words import (
     shifted_quasi_shuffle,
     shifted_shuffle,
     signed_permutations,
-    standardize,
     text_to_perm,
 )
 
@@ -70,10 +74,22 @@ WORDS = (len, perm_to_text, text_to_perm)
 COMPOSITIONS = (total_weight, comp_to_text, text_to_comp)
 
 
-def deconcatenation(key, leg=tuple):
-    """Sum of leg(u) @ leg(v) over the splits key = u v.  Splits at
-    different points give different pairs, so every coefficient is 1."""
-    return LinComb.wrap({(leg(key[:p]), leg(key[p:])): 1 for p in range(len(key) + 1)})
+def deconcatenation(key):
+    """Sum of u @ v over the splits key = u v.  Splits at different points
+    give different pairs, so every coefficient is 1."""
+    return LinComb.wrap({(key[:p], key[p:]): 1 for p in range(len(key) + 1)})
+
+
+def standard_splits(perm):
+    """Sum of st(u) @ st(v) over the splits perm = u v, each leg read off
+    its longer neighbour (see the module docstring)."""
+    prefixes, suffixes = [perm], [perm]
+    for _ in perm:
+        pre, suf = prefixes[-1], suffixes[-1]
+        m, n = abs(pre[-1]), abs(suf[0])
+        prefixes.append(tuple([a - 1 if a > m else a + 1 if a < -m else a for a in pre[:-1]]))
+        suffixes.append(tuple([a - 1 if a > n else a + 1 if a < -n else a for a in suf[1:]]))
+    return LinComb.wrap(dict.fromkeys(zip(reversed(prefixes), suffixes), 1))
 
 
 def rqsym_antipode_m(alpha):
@@ -210,13 +226,12 @@ def context_by_name(name, lam=-1):
     module binds at the time of the call."""
     lam = Fraction(lam)
     lam = lam.numerator if lam.denominator == 1 else lam  # an integral weight stays int
-    standardized = lambda key: deconcatenation(key, standardize)
     table = {
         # name: basis letter, key kind, entries the keys exclude, product,
         #       coproduct, basis of a degree, closed-form antipode
         "hsym": ("P", WORDS, None, lambda a, b: shifted_quasi_shuffle(a, b, lam),
-                 standardized, lambda n: list(signed_permutations(n)), None),
-        "ssym": ("P", WORDS, "negative letters", shifted_shuffle, standardized,
+                 standard_splits, lambda n: list(signed_permutations(n)), None),
+        "ssym": ("P", WORDS, "negative letters", shifted_shuffle, standard_splits,
                  lambda n: list(positive_permutations(n)), None),
         "rqsym-m": ("M", COMPOSITIONS, None, star_product, deconcatenation,
                     regularized_compositions, rqsym_antipode_m),

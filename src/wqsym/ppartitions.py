@@ -303,18 +303,6 @@ class Series(LinComb):
                                for e1, c1 in self.terms.items()
                                for e2, c2 in other.terms.items()))
 
-    def to_json(self):
-        return {
-            "k": self.k,
-            "terms": [
-                {
-                    "coeff": str(c),
-                    "exps": ["e" if x is EPS else str(x) for x in e],
-                }
-                for e, c in self.items()
-            ],
-        }
-
     @classmethod
     def from_json(cls, obj):
         terms = []

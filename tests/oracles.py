@@ -6,10 +6,12 @@ of the quasi-shuffle product (a sum over pairs of order preserving
 injections), its right-sided recursion, the plain descent set of a signed
 word, the multinomial counts of all-negative products, a second bullet
 for the quasi-shuffle laws, the shifted product with every term
-standardized, the product of fundamentals through the monomial basis,
-the Aguiar-Bergeron-Sottile map Psi_zeta into QSym, the series 1 and the
-coordinatewise product of truncated series, and the statistics, descent
-set, refinement order and concatenations of compositions.
+standardized, the coproduct of signed permutations with every leg
+standardized from scratch, the product of fundamentals through the
+monomial basis, the Aguiar-Bergeron-Sottile map Psi_zeta into QSym, the
+series 1 and the coordinatewise product of truncated series, and the
+statistics, descent set, refinement order and concatenations of
+compositions.
 None of them is used by the library itself.
 """
 from __future__ import annotations
@@ -124,6 +126,13 @@ def shifted_quasi_shuffle_reference(sigma, tau, lam):
     the reference for the product that skips st on full-length words."""
     raw = quasi_shuffle(sigma, shift(tau, len(sigma)), lam, sign_bullet)
     return LinComb((standardize(w), c) for w, c in raw.terms.items())
+
+
+def standardized_deconcatenation(word):
+    """Sum of st(u) @ st(v) over the splits word = u v, each leg
+    standardized on its own: the reference for ``hopf.standard_splits``."""
+    return LinComb((((standardize(word[:p]), standardize(word[p:])), 1)
+                    for p in range(len(word) + 1)))
 
 
 def right_quasi_shuffle_step(wc, vd, lam, bullet=sign_bullet):

@@ -350,9 +350,10 @@ def term_listings():
 
 def reference_listing(lc, key_text=None, tensor=False):
     """``json.dumps(indent=2)`` of the listing that ``_listing`` writes: the
-    form of ``Series.to_json`` or ``lincomb_to_json``, its terms in the
-    order of ``basis_sort_key_reference``, so that the writer's order is
-    checked against the definition rather than against ``sorted_keys``."""
+    form of ``lincomb_to_json``, or the one ``Series.from_json`` reads, its
+    terms in the order of ``basis_sort_key_reference``, so that the writer's
+    order is checked against the definition rather than against
+    ``sorted_keys``."""
     terms = [(k, str(lc.terms[k])) for k in sorted(lc.terms, key=basis_sort_key_reference)]
     if key_text is None:
         exps = lambda e: ["e" if x is EPS else str(x) for x in e]

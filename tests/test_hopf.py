@@ -3,6 +3,7 @@
 import functools
 import importlib
 import os
+import random
 import shutil
 import sys
 from fractions import Fraction
@@ -31,14 +32,11 @@ from wqsym.hopf import (
     rqsym_antipode_m,
     rqsym_coproduct_f,
     rqsym_product_f,
+    standard_splits,
     verify_hopf,
 )
-from wqsym.words import shifted_quasi_shuffle, signed_permutations, standardize
-from oracles import rqsym_product_f_via_m, weight
-
-
-def hsym_coproduct(sigma):
-    return deconcatenation(sigma, standardize)
+from wqsym.words import shifted_quasi_shuffle, signed_permutations
+from oracles import rqsym_product_f_via_m, standardized_deconcatenation, weight
 
 
 def test_coproduct_of_1324():
@@ -51,7 +49,7 @@ def test_coproduct_of_1324():
             ((1, 3, 2, 4), ()): 1,
         }
     )
-    assert hsym_coproduct((1, 3, 2, 4)) == expected
+    assert standard_splits((1, 3, 2, 4)) == expected
 
 
 def test_coproduct_of_signed_word():
@@ -65,18 +63,31 @@ def test_coproduct_of_signed_word():
             ((3, -2, 1, 4, -5), ()): 1,
         }
     )
-    assert hsym_coproduct((3, -2, 1, 4, -5)) == expected
+    assert standard_splits((3, -2, 1, 4, -5)) == expected
 
 
 def test_coproduct_of_identity():
-    assert hsym_coproduct(()) == LinComb.single(((), ()))
+    assert standard_splits(()) == LinComb.single(((), ()))
 
 
 def test_coproduct_is_cograded():
     for n in range(5):
         for pi in signed_permutations(n):
-            for a, b in hsym_coproduct(pi).terms:
+            for a, b in standard_splits(pi).terms:
                 assert len(a) + len(b) == n
+
+
+def test_standard_splits_match_the_reference():
+    """Each leg read off its neighbour equals that leg standardized from
+    scratch, on every signed permutation of length <= 6 and on a seeded
+    sample of lengths 7 and 8.  Negative letters must move towards zero
+    too, which only signed words show."""
+    rng = random.Random(23)
+    sample = [tuple(a if rng.random() < 0.5 else -a for a in rng.sample(range(1, n + 1), n))
+              for n in (7, 8) for _ in range(500)]
+    words = [w for n in range(7) for w in signed_permutations(n)] + sample
+    for w in words:
+        assert standard_splits(w).terms == standardized_deconcatenation(w).terms, w
 
 
 def _convolution(ctx, x):

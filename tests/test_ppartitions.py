@@ -3,6 +3,7 @@ and in the monomial basis."""
 
 import importlib
 import itertools
+import json
 import os
 import random
 import shutil
@@ -20,7 +21,7 @@ from wqsym.compositions import (
     wcomp,
 )
 import wqsym
-from wqsym import ppartitions
+from wqsym import cli, ppartitions
 from wqsym.hopf import f_to_m, report_to_json
 from wqsym.laws import graded_tuples
 from wqsym.ppartitions import (
@@ -632,8 +633,9 @@ def test_series_truncation_consistency():
 
 
 def test_series_json_round_trip():
+    """``Series.from_json`` reads back the listing the CLI prints."""
     s = expand_f((EPS, 2), 3)
-    blob = s.to_json()
+    blob = json.loads(cli._listing(s))
     assert blob["k"] == 3
     assert Series.from_json(blob) == s
 
