@@ -4,9 +4,11 @@ Subcommands: product, coproduct, antipode, convert, map, gamma, expand,
 verify.  Signed permutations are written as comma separated signed
 integers ('id' for the empty one), regularized compositions use 'e' for
 epsilon ('empty' for the empty one), and rationals as 'p/q'.  Output is
-JSON by default, '--format text' for a human rendering.  Each command's
-own parser reads its arguments; the top-level parser handles only help,
-unknown commands and errors.
+JSON by default, '--format text' for a human rendering.  A plain command
+line (exact option strings, one value each, the elements in one run) is
+read in one pass over a table of its command parser's own declarations;
+any other line, and every help or error, goes to argparse, the command's
+parser for a known command and the top-level parser otherwise.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
 2 on malformed input or when the output cannot be written.
@@ -108,9 +110,12 @@ def cmd_operation(args):
 def cmd_convert(args):
     if {args.frm, args.to} != {"f", "m"}:
         raise CLIError("convert needs --from f --to m or --from m --to f")
-    key = hopf.context_by_name(f"rqsym-{args.frm}").parse_key(args.elements[0])
+    # rqsym-f and rqsym-m read the same composition keys, so the target's
+    # context parses the input too
+    ctx = hopf.context_by_name(f"rqsym-{args.to}")
+    key = ctx.parse_key(args.elements[0])
     lc = hopf.f_to_m_cached(key) if args.frm == "f" else hopf.m_to_f_cached(key)
-    _emit(lc, hopf.context_by_name(f"rqsym-{args.to}"), args.format)
+    _emit(lc, ctx, args.format)
     return 0
 
 
@@ -142,10 +147,18 @@ def cmd_gamma(args):
     return 0
 
 
+# the most terms ``expand`` computes; a larger request exits 2 before any
+# work, since its time and memory grow with the count
+EXPAND_MAX_TERMS = 10**5
+
+
 def cmd_expand(args):
     alpha = text_to_comp(args.elements[0])
+    k = _at_least(args.vars, 1, "--vars")
+    if ppartitions.expansion_size(alpha, k, args.basis, EXPAND_MAX_TERMS) > EXPAND_MAX_TERMS:
+        raise CLIError(f"expand would compute more than {EXPAND_MAX_TERMS} terms")
     fn = ppartitions.expand_m if args.basis == "m" else ppartitions.expand_f
-    _emit_series(fn(alpha, _at_least(args.vars, 1, "--vars")), args.format)
+    _emit_series(fn(alpha, k), args.format)
     return 0
 
 
@@ -288,12 +301,99 @@ def build_parser():
     return parser
 
 
+@functools.cache  # built on the first plain line of each command
+def _plain_table(command):
+    """What ``_read_plain`` needs of a command parser, read off its own
+    argparse declarations: each exact option string's store action, the
+    positional action with an integral ``nargs``, the required actions,
+    the namespace of defaults (``_actions``, then ``_defaults``), and the
+    matcher that makes a leading "-" a negative number.  None when the
+    parser declares anything else, so that argparse reads every line."""
+    if (command.prefix_chars != "-" or command.fromfile_prefix_chars is not None
+            or command._mutually_exclusive_groups or command._has_negative_number_optionals):
+        return None
+    options, elements, base = {}, None, {}
+    for action in command._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue  # "-h" is no option of the table, so help goes to argparse
+        if type(action) is not argparse._StoreAction or action.default is argparse.SUPPRESS:
+            return None
+        if action.option_strings and action.nargs is None:
+            options.update(dict.fromkeys(action.option_strings, action))
+        elif not action.option_strings and type(action.nargs) is int and elements is None:
+            elements = action
+        else:
+            return None
+        # an unseen string default is converted by the action's type
+        default = action.default
+        if isinstance(default, str):
+            default = command._registry_get("type", action.type, action.type)(default)
+        base.setdefault(action.dest, default)
+    for dest, value in command._defaults.items():
+        base.setdefault(dest, value)
+    required = [a for a in command._actions if a.required]
+    return options, elements, required, base, command._negative_number_matcher.match
+
+
+def _read_plain(command, name, argv):
+    """The namespace ``command``'s argparse parse gives for ``argv``, the
+    arguments after the command ``name``, when the line is plain: every
+    option an exact option string followed by its one value, the elements
+    one contiguous run of exactly ``nargs``, every value accepted by its
+    action's ``type`` and ``choices``, every required action present.
+    None for any other line, which argparse then reads."""
+    table = _plain_table(command)
+    if table is None:
+        return None
+    options, elements, required, base, negative = table
+    seen = {}
+    i, n = 0, len(argv)
+    while i < n:
+        action = options.get(argv[i])
+        if action is None:
+            action, start = elements, i  # the run of elements starts here
+        else:
+            start = i + 1  # the option's one value
+        if action is None or action in seen:
+            return None  # a string where no element may stand, or a repeat
+        i = start + (action.nargs or 1)
+        if i > n:
+            return None
+        convert = command._registry_get("type", action.type, action.type)
+        values = []
+        for text in argv[start:i]:
+            if text[:1] == "-" and not negative(text):
+                return None  # an option string, "-h", "--" or a missing value
+            try:
+                value = convert(text)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values.append(value)
+        seen[action] = values[0] if action.nargs is None else values
+    if any(action not in seen for action in required):
+        return None
+    args = argparse.Namespace(command=name)
+    namespace = vars(args)
+    namespace.update(base)
+    namespace.update((action.dest, value) for action, value in seen.items())
+    return args
+
+
 def parse_argv(argv):
-    """``build_parser().parse_args(argv)``, read by the command's parser alone."""
+    """``build_parser().parse_args(argv)``.  A plain line of a known
+    command is read by ``_read_plain``, in one pass over its parser's
+    declarations; any other line by argparse: the command's parser alone
+    when the first element names a command, the top-level parser for help,
+    an unknown command or none.  argparse writes every help and error."""
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:  # help, an unknown command or no command at all
         return parser.parse_args(argv)
+    args = _read_plain(command, argv[0], argv[1:])
+    if args is not None:
+        return args
     args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extra:
         parser.error("unrecognized arguments: " + " ".join(extra))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -454,6 +455,36 @@ def expand_f(alpha, k):
     preimage of alpha under ``wcomp``.
     """
     return gamma(chain_poset(wcomp_preimage(alpha)), k)
+
+
+def _binomial(n, r, cap):
+    """C(n, r), or cap + 1 if that is larger.  With r at most n - r, the
+    partial products C(n - r + i, i) at least double with each i, so an
+    absurd count costs about log2(cap) steps, not its own size."""
+    r = min(r, n - r)
+    if r < 0:
+        return 0
+    out = 1
+    for i in range(1, r + 1):
+        out = out * (n - r + i) // i
+        if out > cap:
+            return cap + 1
+    return out
+
+
+def expansion_size(alpha, k, basis, cap):
+    """The work of expanding ``alpha`` in k variables, counted without
+    expanding, or cap + 1 if it is more than cap: for ``basis`` "m" the
+    C(k, l(alpha)) terms of ``expand_m``, for "f" the P-partitions that
+    ``expand_f`` walks, a bound on its terms, since epsilon exponents
+    collide.  Those of a chain of n letters with s strict steps are the
+    weakly increasing maps into [k - s], each raised by one past every
+    strict step: C(k - s + n - 1, n) of them."""
+    if basis == "m":
+        return _binomial(k, len(alpha), cap)
+    word = wcomp_preimage(alpha)
+    strict = sum(_chain_shape(word)[1])
+    return _binomial(k - strict + len(word) - 1, len(word), cap)
 
 
 # ---------------------------------------------------------------------------

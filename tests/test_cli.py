@@ -1,10 +1,12 @@
 """Command line behaviour: encodings, determinism, exit codes."""
 
+import argparse
 import concurrent.futures
 import contextlib
 import gc
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -12,9 +14,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wqsym import morphisms
-from wqsym.cli import _listing, build_parser, main, parse_argv
+from wqsym import morphisms, ppartitions
+from wqsym.cli import _listing, _Parser, build_parser, main, parse_argv
 from wqsym.compositions import EPS
 from wqsym.hopf import ALGEBRAS, context_by_name
 from wqsym.laws import Law, run_laws
@@ -124,6 +127,22 @@ def test_expand_f_of_a_long_composition(capsys):
                          "--format", "text")
     assert code == 0 and out.strip() == "1*x1^3000"
     assert "Traceback" not in err
+
+
+def test_expand_refuses_an_oversized_request(capsys, monkeypatch):
+    """Checked by the estimate alone: ``--vars 100 1,1,1,1,1`` is
+    C(100, 5) = 75,287,520 terms in either basis, and exits 2 before any
+    is computed."""
+    def never(alpha, k):
+        raise AssertionError("the oversized expansion ran")
+
+    monkeypatch.setattr(ppartitions, "expand_m", never)
+    monkeypatch.setattr(ppartitions, "expand_f", never)
+    for basis in "mf":
+        code, out, err = run(capsys, "expand", "--basis", basis, "--vars", "100", "1,1,1,1,1")
+        assert (code, out) == (2, "")
+        assert err == "error: expand would compute more than 100000 terms\n"
+        assert ppartitions.expansion_size((1,) * 5, 100, basis, math.inf) == math.comb(100, 5)
 
 
 def test_gamma_command(tmp_path, capsys):
@@ -437,6 +456,130 @@ def test_dispatch_parses_as_the_top_level_parser(argv):
     full = outcome(build_parser().parse_args, list(argv))
     assert fast == full
     assert fast[0] != ("exit", 0) or fast[1].startswith("usage: wqsym")
+
+
+# help, the end of the options, a lone dash, dash-led strings that are no
+# negative number, an unknown option, and the empty string
+IRREGULAR_TEXTS = ("-h", "--help", "--", "-", "-x", "--bogus", "", "-1,e", "- 1")
+# strings a value or an element may be: negative numbers and words, keys,
+# rationals, an empty string, a file name
+VALUE_TEXTS = ("1", "-1", "2/3", "0", "x", "e", "1,e", "-3,1,2", "", "p.poset")
+
+
+@st.composite
+def command_lines(draw):
+    """A line of one command, from the declarations of its parser: its
+    options, each with a declared choice or a value of its type, and its
+    elements, in one run or one by one, in random order; then up to three irregular edits: a string
+    of IRREGULAR_TEXTS or an option string with or without its value put
+    anywhere, the command name included (help, "--", missing values,
+    repeats, split elements), an option joined to its value by "=", an
+    option string abbreviated, a string dropped."""
+    parser = build_parser()
+    name = draw(st.sampled_from(sorted(parser.commands)))
+    command = parser.commands[name]
+    options, units = [], []
+    for action in command._actions:
+        if not action.option_strings:
+            elements = draw(st.lists(st.sampled_from(VALUE_TEXTS + ("-1,e", "- 1")),
+                                     min_size=action.nargs, max_size=action.nargs))
+            # in one run three times in four, else each element on its own
+            units += [elements] if draw(st.integers(0, 3)) else [[text] for text in elements]
+        elif action.nargs is None:
+            # a declared value four times in five, else one that may be bad
+            good = action.choices or (("2", "-1", "0") if action.type is int else VALUE_TEXTS)
+            value = draw(st.sampled_from(good if draw(st.integers(0, 4)) else ("x", "wsym", "-x")))
+            unit = [draw(st.sampled_from(action.option_strings)), value]
+            options.append(unit)
+            # a required option is left out now and then
+            if draw(st.integers(0, 9)) < (9 if action.required else 5):
+                units.append(unit)
+    argv = [name] + [text for unit in draw(st.permutations(units)) for text in unit]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2, 3)))):
+        edit = draw(st.integers(0, 4))
+        at = draw(st.integers(0, len(argv)))
+        if edit == 0:
+            argv.insert(at, draw(st.sampled_from(IRREGULAR_TEXTS)))
+        elif edit == 1:
+            argv[at:at] = draw(st.sampled_from(options))[:draw(st.integers(1, 2))]
+        elif edit == 2 and at + 1 < len(argv) and argv[at].startswith("--"):
+            argv[at:at + 2] = ["=".join(argv[at:at + 2])]
+        elif edit == 3 and at < len(argv) and argv[at].startswith("--") and len(argv[at]) > 3:
+            argv[at] = argv[at][:draw(st.integers(3, len(argv[at])))]
+        elif edit == 4 and at < len(argv):
+            del argv[at]
+    return argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(command_lines())
+def test_random_lines_parse_as_the_top_level_parser(argv):
+    """The plain reader and its fallback against argparse on random lines
+    built from each command's declarations."""
+    assert outcome(parse_argv, list(argv)) == outcome(build_parser().parse_args, list(argv))
+
+
+def queries_like_lines():
+    """Seeded valid lines of every command kind, shaped like the benchmark's
+    query stream: products of 5 to 9 letters (hsym with each weight),
+    antipodes, coproducts, conversions, maps, expansions and Gamma."""
+    rng = random.Random(19)
+
+    def perm(n, signed):
+        letters = rng.sample(range(1, n + 1), n)
+        return ",".join(str(-a if signed and rng.random() < 0.5 else a) for a in letters)
+
+    def comp(weight):
+        return ",".join(rng.choice(("e", "1", "2")) for _ in range(weight)) or "empty"
+
+    def key(algebra, n):
+        if algebra in ("hsym", "ssym"):
+            return perm(n, algebra == "hsym")
+        return comp(n).replace("e", "1") if algebra == "qsym" else comp(n)
+
+    lines = []
+    for i in range(60):
+        algebra = ALGEBRAS[i % len(ALGEBRAS)]
+        lam = ("-1", "0", "1", "2/3")[i % 4]
+        m = rng.randint(1, 4)
+        n = rng.randint(5, 9) - m
+        lines += [
+            ["product", "--algebra", algebra, "--lambda", lam, key(algebra, m), key(algebra, n)],
+            ["product", "--algebra", algebra, key(algebra, m), key(algebra, n)],
+            ["antipode", "--algebra", algebra, "--lambda", lam, key(algebra, rng.randint(4, 6))],
+            ["coproduct", "--algebra", algebra, key(algebra, rng.randint(3, 7))],
+            ["convert", "--from", "fm"[i % 2], "--to", "mf"[i % 2], comp(rng.randint(3, 7))],
+            ["map", "--which", ("d1", "d2", "phi2", "phi1M", "phi1F")[i % 5],
+             perm(rng.randint(3, 8), i % 5 != 0) if i % 5 < 3 else comp(rng.randint(3, 8))],
+            ["expand", "--basis", "mf"[i % 2], "--vars", str(rng.randint(4, 8)),
+             comp(rng.randint(2, 5))],
+            ["gamma", "--poset", f"poset{i:04d}.txt", "--vars", str(rng.randint(4, 8))],
+        ]
+    return lines
+
+
+def test_plain_lines_never_reach_argparse(monkeypatch):
+    """Every valid line of the dispatch corpus and of a query-shaped corpus
+    is read by the plain reader: with argparse's parse refused, each still
+    gives argparse's namespace.  The two valid lines with "=" or "--" are
+    irregular, and do go to argparse."""
+    parse = build_parser().parse_args
+    valid = [argv for argv in DISPATCH_CORPUS
+             if isinstance(outcome(parse, list(argv))[0], argparse.Namespace)]
+    irregular = [argv for argv in valid if "--" in argv or any("=" in a for a in argv)]
+    assert irregular == [["product", "--format=text", "--algebra=ssym", "2,1", "1"],
+                         ["product", "--algebra", "hsym", "--", "1", "2"]]
+    lines = [argv for argv in valid if argv not in irregular] + queries_like_lines()
+    expected = [parse(list(argv)) for argv in lines]
+
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError(f"argparse read {args}")
+
+    monkeypatch.setattr(_Parser, "parse_known_args", refuse)
+    assert [parse_argv(list(argv)) for argv in lines] == expected
+    for argv in irregular:
+        with pytest.raises(AssertionError, match="argparse read"):
+            parse_argv(list(argv))
 
 
 # one command of each kind: product, coproduct and antipode on every

@@ -4,6 +4,7 @@ and in the monomial basis."""
 import importlib
 import itertools
 import json
+import math
 import os
 import random
 import shutil
@@ -19,6 +20,7 @@ from wqsym.compositions import (
     refinement_terms,
     regularized_compositions,
     wcomp,
+    wcomp_preimage,
 )
 import wqsym
 from wqsym import cli, ppartitions
@@ -32,6 +34,7 @@ from wqsym.ppartitions import (
     enumerate_ppartitions,
     expand_f,
     expand_m,
+    expansion_size,
     gamma,
     gamma_m,
     parse_poset,
@@ -430,6 +433,21 @@ def test_expand_f_matches_the_recursive_reference():
         for alpha in regularized_compositions(w):
             for k in range(7):
                 assert expand_f(alpha, k) == expand_f_reference(alpha, k), (alpha, k)
+
+
+def test_expansion_size_counts_the_expansion():
+    """The closed forms against the terms of ``expand_m`` and the
+    P-partitions that ``expand_f`` walks, enumerated."""
+    for w in range(6):
+        for alpha in regularized_compositions(w):
+            chain = chain_poset(wcomp_preimage(alpha))
+            for k in range(1, 7):
+                m, f = (expansion_size(alpha, k, basis, math.inf) for basis in "mf")
+                assert m == len(expand_m(alpha, k).terms), (alpha, k)
+                assert f == len(enumerate_ppartitions(chain, k)) >= len(expand_f(alpha, k).terms)
+                # capped at any value: the count, or one past the cap
+                for cap in range(f + 1):
+                    assert expansion_size(alpha, k, "f", cap) == min(f, cap + 1)
 
 
 def test_gamma_of_the_fork():
