@@ -23,7 +23,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .compositions import EPS, text_to_comp
+from .compositions import EPS, text_to_comp, total_weight
 from .laws import merge_reports, report_to_json
 from .lincomb import lincomb_to_text, sorted_keys
 from . import hopf, morphisms, ppartitions
@@ -147,16 +147,20 @@ def cmd_gamma(args):
     return 0
 
 
-# the most terms ``expand`` computes; a larger request exits 2 before any
-# work, since its time and memory grow with the count
+# the most entries ``expand`` writes: k exponents per term, and for F also
+# the letters of the chain, placed once per P-partition walked and once to
+# build the chain.  A larger request exits 2 before any work, decided from
+# alpha and k alone, since its time and memory grow with the count
 EXPAND_MAX_TERMS = 10**5
 
 
 def cmd_expand(args):
     alpha = text_to_comp(args.elements[0])
     k = _at_least(args.vars, 1, "--vars")
-    if ppartitions.expansion_size(alpha, k, args.basis, EXPAND_MAX_TERMS) > EXPAND_MAX_TERMS:
-        raise CLIError(f"expand would compute more than {EXPAND_MAX_TERMS} terms")
+    width = k + (total_weight(alpha) if args.basis == "f" else 0)
+    if (width > EXPAND_MAX_TERMS or width * ppartitions.expansion_size(
+            alpha, k, args.basis, EXPAND_MAX_TERMS // width) > EXPAND_MAX_TERMS):
+        raise CLIError(f"expand would write more than {EXPAND_MAX_TERMS} entries")
     fn = ppartitions.expand_m if args.basis == "m" else ppartitions.expand_f
     _emit_series(fn(alpha, k), args.format)
     return 0

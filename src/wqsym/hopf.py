@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .laws import Law, graded_tuples, run_laws
 from .laws import report_to_json  # re-exported: hopf.report_to_json is public
-from .lincomb import LinComb, tensor_bilinear
+from .lincomb import LinComb, accumulate, tensor_bilinear
 from .compositions import (
     EPS,
     comp_to_text,
@@ -155,7 +155,8 @@ def rqsym_antipode_f(alpha):
 def _graded_antipode(product, coproduct, degree, memo, key):
     """The antipode of ``key`` by the recursion over the coproduct, whether
     or not a closed form exists, with every value it computes stored in
-    ``memo``."""
+    ``memo``: S(x) = -sum S(x') x'' over the reduced splits x' @ x'',
+    each product accumulated straight into one dict, as in ``lc_mul``."""
     found = memo.get(key)
     if found is not None:
         return found
@@ -163,15 +164,15 @@ def _graded_antipode(product, coproduct, degree, memo, key):
     if deg == 0:
         out = LinComb.single(key)
     else:
-        terms = []
+        terms = {}
         for (a, b), c in coproduct(key).terms.items():
             if degree(a) < deg:
                 for ka, ca in _graded_antipode(product, coproduct, degree, memo, a).terms.items():
-                    terms.extend((k, -c * ca * cp) for k, cp in product(ka, b).terms.items())
+                    accumulate(terms, product(ka, b).terms.items(), -c * ca)
             else:
                 # connectedness: the only non-reduced term is key @ unit
                 assert a == key and b == () and c == 1, (key, a, b, c)
-        out = LinComb(terms)
+        out = LinComb.wrap(terms)
     memo[key] = out
     return out
 

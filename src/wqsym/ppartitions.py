@@ -38,7 +38,7 @@ import random
 from fractions import Fraction
 
 from .lincomb import LinComb, lc_mul
-from .compositions import EPS, ntilde_add, star_product, wcomp, wcomp_preimage
+from .compositions import EPS, ntilde_add, star_product, total_weight, wcomp, wcomp_preimage
 from .hopf import f_to_m
 from .laws import Law, graded_tuples, run_laws
 from .words import (
@@ -479,12 +479,15 @@ def expansion_size(alpha, k, basis, cap):
     ``expand_f`` walks, a bound on its terms, since epsilon exponents
     collide.  Those of a chain of n letters with s strict steps are the
     weakly increasing maps into [k - s], each raised by one past every
-    strict step: C(k - s + n - 1, n) of them."""
+    strict step: C(k - s + n - 1, n) of them.  The chain of
+    ``wcomp_preimage(alpha)`` has the weight of alpha as its n, and a
+    strict step after every positive part but a last one, so neither the
+    word nor the chain is built."""
     if basis == "m":
         return _binomial(k, len(alpha), cap)
-    word = wcomp_preimage(alpha)
-    strict = sum(_chain_shape(word)[1])
-    return _binomial(k - strict + len(word) - 1, len(word), cap)
+    n = total_weight(alpha)
+    strict = sum(p is not EPS for p in alpha[:-1])
+    return _binomial(k - strict + n - 1, n, cap)
 
 
 # ---------------------------------------------------------------------------

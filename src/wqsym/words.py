@@ -15,12 +15,15 @@ with the empty word as unit.  The bullet is a parameter: a callable
 (letter, letter) -> letter-or-0, where 0 means the product of letters is
 zero and the whole generated word is dropped.  Signed permutations use
 the bullet a.b = a when both letters are negative, 0 otherwise.
+
+``shifted_quasi_shuffle`` takes signed permutations only: it writes
+st(sigma * tau[m]) by relabelling merged words, never calling ``standardize``.
 """
 from __future__ import annotations
 
 import itertools
 
-from .lincomb import LinComb, accumulate
+from .lincomb import LinComb
 
 
 def sign_bullet(a, b):
@@ -91,11 +94,49 @@ def quasi_shuffle(u, v, lam, bullet=sign_bullet):
 
 def shifted_quasi_shuffle(sigma, tau, lam):
     """st(sigma * tau[m]) with m = len(sigma): the product on signed
-    permutations.  With lam = 0 this is the shifted shuffle."""
-    raw = quasi_shuffle(sigma, shift(tau, len(sigma)), lam, sign_bullet)
-    n = len(sigma) + len(tau)  # a word of length n merged no letters: it needs no st
-    return LinComb.wrap(accumulate({}, ((w if len(w) == n else standardize(w), c)
-                                        for w, c in raw.terms.items())))
+    permutations, which sigma and tau must be.  With lam = 0 this is the
+    shifted shuffle.
+
+    One recursion writes every term standardized.  A merge keeps sigma's
+    letter and drops tau's; tau[m] lies above sigma, so st fixes sigma's
+    letters and moves each kept letter of tau[m] towards zero by the number
+    of dropped letters below it.  The dropped set rides down as a bitmask
+    over absolute values; each one met builds, once per call, a table
+    indexed by the letter.  A word with no merge is standard and met once.
+    """
+    m = len(sigma)
+    v = shift(tau, m)
+    nv = len(v)
+    n = m + nv
+    out = {}
+    tables = {}
+
+    def rec(i, j, w, dropped, coeff):
+        if i == m or j == nv:
+            w += sigma[i:] + v[j:]
+            if not dropped:
+                out[w] = 1
+                return
+            table = tables.get(dropped)
+            if table is None:  # negative letters index it from the end
+                table = tables[dropped] = list(range(n + 1)) + list(range(-n, 0))
+                below = 0
+                for x in range(m + 1, n + 1):
+                    below += dropped >> x & 1  # a dropped letter's entry is never read
+                    table[x], table[-x] = x - below, below - x
+            w = tuple(map(table.__getitem__, w))
+            out[w] = out.get(w, 0) + coeff
+            return
+        a = sigma[i]
+        b = v[j]
+        rec(i + 1, j, w + (a,), dropped, coeff)
+        rec(i, j + 1, w + (b,), dropped, coeff)
+        if lam and a < 0 and b < 0:  # the sign bullet: keep a, drop b
+            rec(i + 1, j + 1, w + (a,), dropped | 1 << -b, coeff * lam)
+
+    rec(0, 0, (), 0, 1)
+    del rec  # rec refers to itself through its cell; free it without the gc
+    return LinComb.wrap(out)
 
 
 def shifted_shuffle(sigma, tau):

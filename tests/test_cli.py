@@ -141,8 +141,29 @@ def test_expand_refuses_an_oversized_request(capsys, monkeypatch):
     for basis in "mf":
         code, out, err = run(capsys, "expand", "--basis", basis, "--vars", "100", "1,1,1,1,1")
         assert (code, out) == (2, "")
-        assert err == "error: expand would compute more than 100000 terms\n"
+        assert err == "error: expand would write more than 100000 entries\n"
         assert ppartitions.expansion_size((1,) * 5, 100, basis, math.inf) == math.comb(100, 5)
+
+
+@pytest.mark.parametrize("basis, vars_, alpha, why", [
+    ("f", "1", "1000000", "one term, but a chain of 10^6 letters"),
+    ("m", "1000000", "empty", "one term of 10^6 exponents"),
+    ("f", "2", ",".join("e" * 400), "401 P-partitions of 400 letters each"),
+    ("f", "1", ",".join(["1"] * 100001), "no P-partition, but 100,001 letters"),
+])
+def test_expand_bounds_the_entries_not_only_the_terms(capsys, monkeypatch, basis, vars_,
+                                                      alpha, why):
+    """Few terms but wide ones are refused too, by the count alone: the
+    expansions are patched to fail, and the composition is never turned
+    into a word."""
+    def never(*args):
+        raise AssertionError("the oversized expansion ran")
+
+    for name in ("expand_m", "expand_f", "wcomp_preimage"):
+        monkeypatch.setattr(ppartitions, name, never)
+    code, out, err = run(capsys, "expand", "--basis", basis, "--vars", vars_, alpha)
+    assert (code, out) == (2, ""), why
+    assert err == "error: expand would write more than 100000 entries\n"
 
 
 def test_gamma_command(tmp_path, capsys):

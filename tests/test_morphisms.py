@@ -262,13 +262,16 @@ def test_pruned_phi2_of_product_matches_reference_exhaustively():
 
 
 def test_products_leave_no_reference_cycles():
-    """The recursive closures of quasi_shuffle and _phi2_of_product refer
-    to themselves; each call must break that cycle, so that its memo is
-    freed when it returns rather than at the next collection."""
+    """The recursive closures of quasi_shuffle, shifted_quasi_shuffle and
+    _phi2_of_product refer to themselves; each call must break that cycle,
+    so that its memo is freed when it returns rather than at the next
+    collection."""
     gc.collect()
     gc.disable()
     try:
         quasi_shuffle((1, -2, 3), (-4, 5), -1)
+        assert gc.collect() == 0
+        assert shifted_quasi_shuffle((-1, 2, -3), (-2, -1), -1)
         assert gc.collect() == 0
         assert _phi2_of_product((-1, 2, 3), (1, -2))
         assert gc.collect() == 0

@@ -1,6 +1,7 @@
 """Standardization, quasi-shuffle and stuffle products, descents."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -231,8 +232,8 @@ def test_shift_amount_does_not_matter_beyond_length():
 
 @pytest.mark.parametrize("lam", [-1, 0, Fraction(2, 3)])
 def test_merge_free_terms_skip_standardize(lam):
-    """The product standardizes only the words shorter than the full
-    length; the reference standardizes every term.  Every pair of signed
+    """The product relabels only the words shorter than the full length;
+    the reference standardizes every term.  Every pair of signed
     permutations of total degree <= 4."""
     perms = [list(signed_permutations(n)) for n in range(5)]
     pairs = 0
@@ -245,6 +246,29 @@ def test_merge_free_terms_skip_standardize(lam):
                     assert all(is_signed_permutation(w) for w in got.terms)
                     pairs += 1
     assert pairs == 1177
+
+
+def test_relabelled_product_matches_the_reference():
+    """Every pair of total degree <= 5, where a kept letter of tau[m] first
+    has two dropped letters below it, and a seeded sample of total degree
+    6-9, against the reference that standardizes every term; the terms
+    come in the reference's order too."""
+    perms = [list(signed_permutations(n)) for n in range(6)]
+    pairs = [(sigma, tau) for m in range(6) for n in range(6 - m)
+             for sigma in perms[m] for tau in perms[n]]
+    rng = random.Random(25)
+    for total in range(6, 10):
+        for _ in range(12):
+            m = rng.randint(0, total)
+            pairs.append(tuple(tuple(a if rng.random() < 0.5 else -a
+                                     for a in rng.sample(range(1, n + 1), n))
+                               for n in (m, total - m)))
+    assert len(pairs) == 11161 + 48
+    for lam in (-1, 0, 1, Fraction(2, 3)):
+        for sigma, tau in pairs:
+            got = shifted_quasi_shuffle(sigma, tau, lam).terms
+            want = shifted_quasi_shuffle_reference(sigma, tau, lam).terms
+            assert list(got.items()) == list(want.items()), (sigma, tau, lam)
 
 
 def test_shifted_product_associative():
