@@ -23,7 +23,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .compositions import EPS, text_to_comp, total_weight
+from .compositions import text_to_comp, total_weight
 from .laws import merge_reports, report_to_json
 from .lincomb import lincomb_to_text, sorted_keys
 from . import hopf, morphisms, ppartitions
@@ -60,11 +60,10 @@ def _listing(lc, key_text=None, tensor=False):
                 for kk in sorted_keys(terms)]
     else:
         # key_text of a nonempty key joins the texts of its entries by ","
-        letters = set().union(*terms)
-        texts = {x: "e" if x is EPS else str(x) for x in letters}
+        texts = {x: str(x) for x in set().union(*terms)}  # str(EPS) is "e"
         sep, form = ('",\n        "', _EXPS) if key_text is None else (",", _KEY)
         body = [form % (terms[k], sep.join(map(texts.get, k)) if k else key_text(k))
-                for k in sorted_keys(terms, letters)]
+                for k in sorted_keys(terms)]
     if not body:
         return head + '  "terms": []\n}'
     return head + '  "terms": [\n' + ",\n".join(body) + "\n  ]\n}"
@@ -148,9 +147,10 @@ def cmd_gamma(args):
 
 
 # the most entries ``expand`` writes: k exponents per term, and for F also
-# the letters of the chain, placed once per P-partition walked and once to
-# build the chain.  A larger request exits 2 before any work, decided from
-# alpha and k alone, since its time and memory grow with the count
+# the letters of the chain, built once and placed once per packed
+# P-partition walked; the chain's P-partitions bound both counts.  A larger
+# request exits 2 before any work, decided from alpha and k alone, since
+# its time and memory grow with the count
 EXPAND_MAX_TERMS = 10**5
 
 

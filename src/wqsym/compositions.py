@@ -4,10 +4,10 @@ The monoid adjoins to the nonnegative integers an element epsilon with
 
     0 + e = e + 0 = e + e = e,    n + e = e + n = n  (n >= 1),
 
-ordered by 0 < e < 1.  A regularized composition is a tuple of parts that
-are positive integers or ``EPS``; it is the regularization of the weak
-composition obtained by reading every ``EPS`` as 0.  The empty tuple is
-the empty composition.
+ordered by 0 < e < 1, the order of ``EPS``, a float of value 0.5, in
+plain tuple comparisons.  A regularized composition is a tuple of
+positive integers and ``EPS``s, the regularization of the weak
+composition that reads every ``EPS`` as 0; () is the empty composition.
 
 Every regularized composition has a unique finest block form
 
@@ -200,7 +200,7 @@ def regularized_compositions(w):
 def comp_to_text(alpha):
     if not alpha:
         return "empty"
-    return ",".join("e" if p is EPS else str(p) for p in alpha)
+    return ",".join(map(str, alpha))  # str(EPS) is "e"
 
 
 def text_to_comp(text):

@@ -20,50 +20,51 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class _Eps:
+class _Eps(float):
+    """The one epsilon: a float of value 0.5 that reads as "e", so keys
+    holding it compare as plain tuples, in C, by the order 0 < e < 1.  Two
+    float behaviours remain: ``EPS == 0.5``, but no key or exponent holds
+    0.5; ``json.dumps(EPS)`` gives ``0.5``, but every writer maps ``EPS``
+    to "e".  Arithmetic on it raises ``TypeError``: ``ntilde_add`` adds it."""
+
     __slots__ = ()
 
     def __repr__(self):
         return "e"
 
     def __reduce__(self):
-        # pickle by reference so identity checks survive worker processes
-        return "EPS"
+        return "EPS"  # by reference, so identity checks survive worker processes
+
+    def __add__(self, *other):
+        raise TypeError("epsilon takes part in no arithmetic")
+
+    __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __add__
+    __truediv__ = __rtruediv__ = __neg__ = __int__ = __add__
 
 
-# the epsilon part of regularized compositions and exponent tuples, public
-# as ``compositions.EPS``; defined in this module, which imports no other
-# module of the package, because the canonical order below ranks it
-EPS = _Eps()
-
-# sort value of a key entry other than an integer: epsilon lies strictly
-# between 0 and 1 (the monoid order 0 < e < 1); the float 0.5 is exact and
-# compares with ints in C
-_RANK = {EPS: 0.5}
+# the epsilon part of compositions and exponent tuples, public as
+# ``compositions.EPS``; defined in this module, which imports no other of
+# the package, as the canonical order below rests on its value
+EPS = _Eps(0.5)
 
 
 def basis_sort_key(key):
-    """Canonical total order on basis keys: length first, then entrywise.
-
-    Tensor keys (tuples of keys) are ordered lexicographically by the
-    orders of their legs.  A flat key maps to one flat tuple, its entries
-    ranked by a C-level dict lookup, so that comparing two keys walks
-    their entries only once.
-    """
+    """Canonical total order on basis keys: length first, then entrywise,
+    ``EPS`` between 0 and 1.  Tensor keys (tuples of keys) are ordered
+    lexicographically by the orders of their legs."""
     if key and type(key[0]) is tuple:
         return tuple(map(basis_sort_key, key))
-    return (len(key), *map(_RANK.get, key, key))
+    return (len(key), *key)
 
 
-def sorted_keys(keys, letters=None):
-    """The keys in ``basis_sort_key`` order; int-only keys by two sorts in C,
-    entrywise then stably by length, as ``_RANK`` ranks an int as itself.
-    ``letters`` is ``set().union(*keys)``, for a caller that has built it."""
-    if letters is None:
-        letters = set().union(*keys)
-    if {int}.issuperset(map(type, letters)):
-        return sorted(sorted(keys), key=len)
-    return sorted(keys, key=basis_sort_key)
+def sorted_keys(keys):
+    """The keys, a collection of one kind, in ``basis_sort_key`` order.
+    Flat keys by two sorts in C, entrywise then stably by length, as they
+    compare as their entries; tensor keys by ``basis_sort_key``."""
+    first = next(iter(keys), ())
+    if first and type(first[0]) is tuple:
+        return sorted(keys, key=basis_sort_key)
+    return sorted(sorted(keys), key=len)
 
 
 def accumulate(acc, terms, scalar=1):

@@ -9,19 +9,17 @@ pairs.
 
 The generating function Gamma(P) sums, over all P-partitions, the
 monomial with exponent 1 on x_{f(i)} for positive labels i and exponent
-epsilon for negative ones.  One odometer over the values, which keeps one
-exponent tuple up to date and builds no partition, counts those
-monomials two ways:
-
-* ``gamma`` truncates Gamma(P) to k variables, a ``Series`` whose
-  exponents add in the monoid {0, e, 1, 2, ...}; the sum over the
-  partitions that ``enumerate_ppartitions`` lists is its test oracle;
-* ``gamma_m`` gives Gamma(P) exactly, in the monomial basis of RQSym,
-  from the packed P-partitions; truncated to k variables it is
-  ``gamma``.
-
-The same odometer expands the fundamental functions: by the paper's
-theorem Gamma(pi) = F_{wcomp(pi)}, ``expand_f`` is ``gamma`` of a chain.
+epsilon for negative ones.  Every P-partition is a packed one, with
+values exactly 1..l, followed by an increasing map of 1..l into the
+variables (Stanley's compression), so Gamma(P) = sum c_alpha M_alpha.
+One odometer counts the packed P-partitions by exponent tuple alpha,
+building no partition, and ``gamma_m`` is that sum; ``gamma`` truncates
+it to k variables, a ``Series`` whose exponents add in the monoid
+{0, e, 1, 2, ...}, by placing each alpha on every l(alpha)-subset of the
+variables, as ``expand_m`` places one alpha.  The sum over the
+partitions that ``enumerate_ppartitions`` lists is its test oracle.  By
+the paper's theorem Gamma(pi) = F_{wcomp(pi)}, ``expand_f`` is ``gamma``
+of a chain.
 
 The verification suite checks the identities of Gamma exactly, in the
 monomial basis.  Gamma of a chain reads only the sign of each letter and
@@ -33,7 +31,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import math
+import operator
 import random
 from fractions import Fraction
 
@@ -317,11 +315,7 @@ class Series(LinComb):
             return "0"
         bits = []
         for e, c in self.items():
-            factors = [
-                f"x{i + 1}" if x == 1 else f"x{i + 1}^{x!r}" if x is EPS else f"x{i + 1}^{x}"
-                for i, x in enumerate(e)
-                if x != 0
-            ]
+            factors = [f"x{i + 1}" if x == 1 else f"x{i + 1}^{x}" for i, x in enumerate(e) if x]
             mono = "*".join(factors) if factors else "1"
             bits.append(f"{c!s}*{mono}")
         return " + ".join(bits)
@@ -330,130 +324,131 @@ class Series(LinComb):
         return f"Series(k={self.k}, {self.to_text()})"
 
 
-def _exponent_counts(poset, k, packed=False):
-    """The number of P-partitions of ``poset`` with values in 1..k that
-    give each exponent tuple (length k).
+def _exponent_counts(poset, cap):
+    """The number c_alpha of packed P-partitions of ``poset`` (values
+    exactly 1..l, l <= cap) with exponent tuple alpha, a composition.
 
     Runs the odometer of ``enumerate_ppartitions`` but builds no
     partition: one exponent list follows the values, each placed position
     adding x_{value}^{1 or e} to it and keeping the exponent it overwrote,
-    to put back when it moves.
-
-    ``packed`` keeps only the partitions whose values are exactly 1..l for
-    some l, and needs k = |P|.  The walk turns back as soon as the gaps
-    below the largest value placed outnumber the positions left to fill
-    them, and the last position, which must fill the gap if one is left,
-    takes only values that leave none.  So every partition counted is
-    packed, and each exponent tuple is nonzero exactly on a prefix.
-    """
-    if k < 0:
+    to put back when it moves.  A position takes no value above the
+    distinct values placed plus the positions left, so the gaps, the
+    unused values below the largest value placed, never outnumber the
+    positions left to fill them; once they match, it takes only a gap."""
+    if cap < 0:
         raise ValueError("need a nonnegative number of values")
     order = poset.order
     n = len(order)
     if not n:
-        return {(0,) * k: 1}
+        return {(): 1}
     lower = _lower_covers(poset)
     # per position: the exponent its label puts on x_{value}
     pattern = [1 if el > 0 else EPS for el in order]
     values = [0] * n
-    # packed: per position, the distinct values placed before it and the
-    # largest of them
-    used = [0] * n
-    peak = [0] * n
-
-    def least(p):
-        lo = 1
-        for q, strict in lower[p]:
-            if values[q] + strict > lo:
-                lo = values[q] + strict
-        return lo
-
     out = {}
-    exps = [0] * k
+    exps = [0] * cap
     saved = [None] * n  # the exponent a placed position overwrote
+    used = top = 0  # the distinct values placed, and the largest of them
+    raised = [0] * n  # the largest value before a position that raised it
     last = n - 1
     p = 0
     while p >= 0:
-        if p == last:
-            # the last position runs through its values in one go
-            exp = pattern[p]
-            # packed: only values that leave no gap, so none above the
-            # distinct values placed plus one, and the gap if one is left
-            run = range(least(p), (used[p] + 1 if packed else k) + 1)
-            if packed and peak[p] > used[p]:
-                run = [value for value in run if not exps[value - 1]]
-            for value in run:
-                old = exps[value - 1]
-                exps[value - 1] = ntilde_add(old, exp)
-                key = tuple(exps)
-                out[key] = out.get(key, 0) + 1
-                exps[value - 1] = old
-            p -= 1
-            continue
         old = saved[p]
         if old is None:
-            value = least(p)
+            value = 1  # the least value the lower covers allow
+            for q, strict in lower[p]:
+                if values[q] + strict > value:
+                    value = values[q] + strict
+            if p == last:
+                # the last position runs through its values in one go: the
+                # gap if one is left, else any value up to one above the top
+                gap = top > used and exps.index(0) + 1
+                run = range(max(value, gap), (gap or min(cap, used + 1)) + 1)
+                exp = pattern[p]
+                for value in run:
+                    old = exps[value - 1]
+                    exps[value - 1] = ntilde_add(old, exp)
+                    key = tuple(exps)
+                    out[key] = out.get(key, 0) + 1
+                    exps[value - 1] = old
+                p -= 1
+                continue
         else:
             value = values[p]
             exps[value - 1] = old
+            if not old:
+                used -= 1
+                if value == top:
+                    top = raised[p]
             value += 1
-        if value > k:
+        if value > cap or value > used + n - p:
             saved[p] = None
             p -= 1
             continue
         values[p] = value
         old = saved[p] = exps[value - 1]
         exps[value - 1] = ntilde_add(old, pattern[p])
+        if not old:
+            used += 1
+            if value > top:
+                raised[p] = top
+                top = value
+        elif top - used == n - p:
+            continue  # a value already used would leave a gap unfilled
         p += 1
-        if packed:
-            used[p] = used[p - 1] + (not old)
-            peak[p] = max(peak[p - 1], value)
-            if peak[p] - used[p] > n - p:
-                p -= 1
+    # the nonzero exponents of a packed partition are a prefix
+    return {exps[:cap - exps.count(0)]: c for exps, c in out.items()}
+
+
+# bounded, unlike a module-wide functools.cache: one pair keeps C(k, l) getters
+@functools.lru_cache(maxsize=64)
+def _placements(k, l):
+    """One getter per l-subset of the k variables: applied to (0,) + alpha,
+    for alpha of length l, the exponent tuple with alpha's parts on that
+    subset; a slice below two variables, where an itemgetter gives no tuple."""
+    return tuple(operator.itemgetter(*[places.index(v) + 1 if v in places else 0
+                                       for v in range(k)]) if k > 1
+                 else operator.itemgetter(slice(l, l + k))
+                 for places in itertools.combinations(range(k), l))
+
+
+def _place(counts, k):
+    """sum c_alpha M_alpha in k variables, from a dict alpha -> c_alpha
+    with no zero count: each alpha of length l put, its parts in order, on
+    every l-subset of the variables.  No part is 0, so the monomial is
+    nonzero exactly on the subset and reads alpha there: two distinct
+    pairs (alpha, subset) never give the same monomial, and the
+    placements are written with no accumulation."""
+    out = {}
+    for alpha, c in counts.items():
+        row = (0,) + alpha
+        for get in _placements(k, len(alpha)):
+            out[get(row)] = c
     return out
 
 
 def gamma(poset, k):
-    """Generating function of signed P-partitions, truncated to k
-    variables, counted by ``_exponent_counts``."""
-    return Series.wrap(k, _exponent_counts(poset, k))
+    """Gamma(P) truncated to k variables: the packed counts, with at most
+    min(k, |P|) values, placed on the k variables."""
+    return Series.wrap(k, _place(_exponent_counts(poset, min(k, len(poset))), k))
 
 
 def gamma_m(poset):
-    """Gamma(P) in the monomial basis of RQSym, with no truncation.
-
-    Every P-partition is the packed P-partition of its distinct values,
-    followed by an increasing map of 1..l into the variables (Stanley's
-    compression), so Gamma(P) = sum_alpha c_alpha M_alpha, with c_alpha
-    the number of packed P-partitions, with values exactly 1..l(alpha),
-    whose exponent tuple is alpha.
-    """
-    return LinComb.wrap({exps[:len(exps) - exps.count(0)]: c
-                         for exps, c in _exponent_counts(poset, len(poset), True).items()})
+    """Gamma(P) in the monomial basis of RQSym, with no truncation: c_alpha
+    is the number of packed P-partitions with exponent tuple alpha."""
+    return LinComb.wrap(_exponent_counts(poset, len(poset)))
 
 
 def expand_m(alpha, k):
     """Monomial weak quasi-symmetric function truncated to k variables:
-    sum over strictly increasing variable tuples."""
-    ell = len(alpha)
-    out = {}
-    for vars_ in itertools.combinations(range(k), ell):
-        exps = [0] * k
-        for v, part in zip(vars_, alpha):
-            exps[v] = part
-        key = tuple(exps)
-        out[key] = out.get(key, 0) + 1
-    return Series.wrap(k, out)
+    alpha placed on each of the C(k, l(alpha)) l(alpha)-subsets."""
+    return Series.wrap(k, _place({alpha: 1}, k))
 
 
 def expand_f(alpha, k):
-    """Fundamental weak quasi-symmetric function truncated to k
-    variables.
-
-    By the paper's P-partition theorem, Gamma(pi) = F_{wcomp(pi)} for
-    every signed permutation pi, so F_alpha is Gamma of the chain of any
-    preimage of alpha under ``wcomp``.
-    """
+    """Fundamental weak quasi-symmetric function truncated to k variables:
+    Gamma(pi) = F_{wcomp(pi)} for every signed permutation pi, so F_alpha
+    is Gamma of the chain of any preimage of alpha under ``wcomp``."""
     return gamma(chain_poset(wcomp_preimage(alpha)), k)
 
 
@@ -475,14 +470,16 @@ def _binomial(n, r, cap):
 def expansion_size(alpha, k, basis, cap):
     """The work of expanding ``alpha`` in k variables, counted without
     expanding, or cap + 1 if it is more than cap: for ``basis`` "m" the
-    C(k, l(alpha)) terms of ``expand_m``, for "f" the P-partitions that
-    ``expand_f`` walks, a bound on its terms, since epsilon exponents
-    collide.  Those of a chain of n letters with s strict steps are the
-    weakly increasing maps into [k - s], each raised by one past every
-    strict step: C(k - s + n - 1, n) of them.  The chain of
-    ``wcomp_preimage(alpha)`` has the weight of alpha as its n, and a
-    strict step after every positive part but a last one, so neither the
-    word nor the chain is built."""
+    C(k, l(alpha)) terms of ``expand_m``, for "f" the P-partitions in k
+    values of the chain that ``expand_f`` walks.  Each is one packed
+    P-partition placed on one subset of the variables, so they bound
+    both the packed ones walked and the terms placed, fewer where
+    epsilon exponents collide.  Those of a chain of n letters with s
+    strict steps are the weakly increasing maps into [k - s], each
+    raised by one past every strict step: C(k - s + n - 1, n) of them.
+    The chain of ``wcomp_preimage(alpha)`` has the weight of alpha as its
+    n, and a strict step after every positive part but a last one, so
+    neither the word nor the chain is built."""
     if basis == "m":
         return _binomial(k, len(alpha), cap)
     n = total_weight(alpha)

@@ -9,9 +9,9 @@ for the quasi-shuffle laws, the shifted product with every term
 standardized, the coproduct of signed permutations with every leg
 standardized from scratch, the product of fundamentals through the
 monomial basis, the Aguiar-Bergeron-Sottile map Psi_zeta into QSym, the
-series 1 and the coordinatewise product of truncated series, and the
-statistics, descent set, refinement order and concatenations of
-compositions.
+series 1, the coordinatewise product of truncated series, the monomial
+functions in k variables, and the statistics, descent set, refinement
+order and concatenations of compositions.
 None of them is used by the library itself.
 """
 from __future__ import annotations
@@ -231,6 +231,20 @@ def series_product_reference(a, b):
     return Series(a.k, ((tuple(map(ntilde_add, e1, e2)), c1 * c2)
                         for e1, c1 in a.terms.items()
                         for e2, c2 in b.terms.items()))
+
+
+def expand_m_reference(alpha, k):
+    """M_alpha truncated to k variables, one term per strictly increasing
+    tuple of variables, each built as its own list and accumulated: the
+    reference for the placement of ``expand_m`` and ``gamma``."""
+    out = {}
+    for vars_ in itertools.combinations(range(k), len(alpha)):
+        exps = [0] * k
+        for v, part in zip(vars_, alpha):
+            exps[v] = part
+        key = tuple(exps)
+        out[key] = out.get(key, 0) + 1
+    return Series.wrap(k, out)
 
 
 def gamma_word(word, k):

@@ -4,10 +4,12 @@ Each case runs in both output formats and is compared with the file
 ``tests/golden/cli/<case>.<json|txt>``.  The files were written by this
 module's ``capture`` before the ``Series``/``LinComb`` fold, so they pin
 the output of that code; ``map-phi2-zero`` and ``coproduct-hsym-id`` were
-written while ``json.dumps`` still printed every listing.  To record a
-new file after a deliberate change of output, run
-``PYTHONPATH=src python tests/test_cli_golden.py`` and check that the
-diff shows only the intended change.
+written while ``json.dumps`` still printed every listing, and
+``expand-m-empty``, ``expand-f-8-vars`` and ``gamma-chain-6-vars`` before
+Gamma was placed from packed P-partitions.  To record a new file after
+a deliberate change of output, run ``PYTHONPATH=src python
+tests/test_cli_golden.py`` and check that the diff shows only the
+intended change.
 """
 
 import contextlib
@@ -63,9 +65,16 @@ for which, x in [("d1", "3,1,4,2"), ("d2", "-3,1,-4,2"), ("phi1M", "1,e"),
 CASES["map-phi2-zero"] = ("map", "--which", "phi2", "1,-2,3")
 CASES["expand-m"] = ("expand", "--basis", "m", "--vars", "4", "e,2,e")
 CASES["expand-f"] = ("expand", "--basis", "f", "--vars", "3", "e,1,1,e")
+# more parts than variables, so no placement: the empty listing
+CASES["expand-m-empty"] = ("expand", "--basis", "m", "--vars", "2", "e,2,e")
+# a command of the queries tail: 462 terms from the chain of e,2,2
+CASES["expand-f-8-vars"] = ("expand", "--basis", "f", "--vars", "8", "e,2,2")
 for poset, k in [("fork", "3"), ("chain", "4"), ("antichain", "2"), ("zero", "2")]:
     CASES[f"gamma-{poset}"] = ("gamma", "--poset", os.path.join(POSETS, f"{poset}.poset"),
                                "--vars", k)
+# more variables than labels
+CASES["gamma-chain-6-vars"] = ("gamma", "--poset", os.path.join(POSETS, "chain.poset"),
+                               "--vars", "6")
 
 FORMATS = {"json": "json", "text": "txt"}
 

@@ -1,6 +1,9 @@
 """Vector space laws and serialization of sparse linear combinations."""
 
+import copy
 import functools
+import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -267,8 +270,8 @@ def test_sorted_keys_match_the_definition_and_sort_int_keys_in_c(monkeypatch):
     """``sorted_keys`` orders seeded keys of every kind as the plain
     definition does: signed words of mixed lengths with the empty key,
     compositions with and without epsilon, exponent tuples and tensor pairs.
-    Keys of ints only never reach ``basis_sort_key``: both of their sorts
-    run in C."""
+    Flat keys, epsilon entries included, never reach ``basis_sort_key``:
+    both of their sorts run in C."""
     rng = random.Random(19)
     words = _seeded_keys(rng, lambda r: r.choice([-1, 1]) * r.randint(1, 6), 1500)
     plain = _seeded_keys(rng, lambda r: r.randint(1, 4), 800)
@@ -281,14 +284,60 @@ def test_sorted_keys_match_the_definition_and_sort_int_keys_in_c(monkeypatch):
     ranked = lincomb.basis_sort_key
     monkeypatch.setattr(lincomb, "basis_sort_key", lambda key: calls.append(key) or ranked(key))
     for keys, in_c in ((words, True), (plain, True), (exps, True), ([()], True), ([], True),
-                       (comps, False), (eps_exps, False), (pairs, False)):
+                       (comps, True), (eps_exps, True), (pairs, False)):
         rng.shuffle(keys)
         calls.clear()
         assert sorted_keys(keys) == sorted(keys, key=basis_sort_key_reference)
         assert sorted_keys(dict.fromkeys(keys)) == sorted(keys, key=basis_sort_key_reference)
-        assert sorted_keys(keys, set().union(*keys)) == sorted(keys, key=basis_sort_key_reference)
+        assert sorted_keys(dict.fromkeys(keys).keys()) == sorted(keys, key=basis_sort_key_reference)
         assert (not calls) == in_c
     assert len({len(k) for k in words}) == 6 and () in words
+
+
+def test_eps_ranks_between_0_and_1_and_equals_no_int():
+    """``EPS`` is a float of value 0.5: it sorts strictly between 0 and 1
+    and equals no int; ``EPS == 0.5`` is one of the two float behaviours
+    its docstring states, the other being ``json.dumps``."""
+    assert 0 < EPS < 1 and not EPS < 0 and not 1 < EPS
+    assert all(EPS != n for n in range(-3, 4))
+    assert sorted([1, EPS, 0, 2]) == [0, EPS, 1, 2]
+    assert (2, EPS) < (2, 1) and (0, 9) < (EPS,)
+    assert EPS == 0.5 and json.dumps(EPS) == "0.5"
+
+
+def test_eps_reads_as_e():
+    assert str(EPS) == repr(EPS) == format(EPS) == f"{EPS}" == "%s" % EPS == "e"
+    assert "%r" % (EPS,) == "e"
+    assert str((1, EPS)) == "(1, e)"
+
+
+def test_eps_takes_part_in_no_arithmetic():
+    """Every arithmetic form raises ``TypeError``, in either order and
+    against ints, Fractions and floats: epsilon is added by
+    ``ntilde_add`` alone."""
+    forms = [lambda x: EPS + x, lambda x: x + EPS, lambda x: EPS - x, lambda x: x - EPS,
+             lambda x: EPS * x, lambda x: x * EPS, lambda x: EPS / x, lambda x: x / EPS]
+    for form in forms:
+        for other in (0, 1, 2, Fraction(1, 2), 0.5, EPS):
+            try:
+                form(other)
+            except TypeError:
+                continue
+            raise AssertionError(f"arithmetic on EPS with {other!r} did not raise")
+    for form in (lambda: -EPS, lambda: int(EPS), lambda: sum((1, EPS))):
+        try:
+            form()
+        except TypeError:
+            continue
+        raise AssertionError("arithmetic on EPS did not raise")
+
+
+def test_eps_pickles_and_copies_to_itself():
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(EPS, protocol)) is EPS
+        key, = pickle.loads(pickle.dumps([(EPS, 1, EPS)], protocol))
+        assert key[0] is EPS and key[2] is EPS
+    assert copy.copy(EPS) is EPS and copy.deepcopy((1, EPS))[1] is EPS
 
 
 def test_tensor_outer_product():

@@ -46,6 +46,7 @@ from wqsym.words import shifted_quasi_shuffle, signed_permutations
 
 from oracles import (
     comp_descent_set,
+    expand_m_reference,
     gamma_combo,
     gamma_word,
     series_one,
@@ -264,11 +265,29 @@ def test_gamma_of_a_deep_chain():
 
 
 def truncate_m(lc, k):
-    """A combination of monomial functions, truncated to k variables."""
+    """A combination of monomial functions, truncated to k variables by
+    the reference, so that it checks the placement in ``gamma`` rather
+    than repeating it."""
     out = {}
     for alpha, c in lc.terms.items():
-        accumulate(out, expand_m(alpha, k).terms.items(), c)
+        accumulate(out, expand_m_reference(alpha, k).terms.items(), c)
     return Series.wrap(k, out)
+
+
+def test_expand_m_matches_the_reference():
+    """Placement against the list-per-term reference, for every
+    regularized composition of weight <= 5 and every k from 0 to 7: one
+    term per l(alpha)-subset of the variables, C(k, l(alpha)) in all."""
+    cases = 0
+    for w in range(6):
+        for alpha in regularized_compositions(w):
+            for k in range(8):
+                got = expand_m(alpha, k)
+                assert got == expand_m_reference(alpha, k), (alpha, k)
+                assert len(got.terms) == math.comb(k, len(alpha)), (alpha, k)
+                assert set(got.terms.values()) <= {1}
+                cases += 1
+    assert cases > 1000
 
 
 def test_gamma_m_truncates_to_gamma():
