@@ -4,11 +4,12 @@ Subcommands: product, coproduct, antipode, convert, map, gamma, expand,
 verify.  Signed permutations are written as comma separated signed
 integers ('id' for the empty one), regularized compositions use 'e' for
 epsilon ('empty' for the empty one), and rationals as 'p/q'.  Output is
-JSON by default, '--format text' for a human rendering.  A plain command
-line (exact option strings, one value each, the elements in one run) is
-read in one pass over a table of its command parser's own declarations;
-any other line, and every help or error, goes to argparse, the command's
-parser for a known command and the top-level parser otherwise.
+JSON by default, '--format text' for a human rendering.  Each command is
+declared once, in ``COMMANDS``: ``build_parser`` builds argparse from it,
+and a plain command line (exact option strings, one value each, the
+elements in one run) is read in one pass over it, with no parser built.
+argparse reads any other line and writes every help and error: the
+command's parser for a known command, the top-level parser otherwise.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
 2 on malformed input or when the output cannot be written.
@@ -136,22 +137,24 @@ def cmd_map(args):
     return 0
 
 
+# the most entries ``gamma`` and ``expand`` write, since their time and
+# memory grow with the count: k exponents per term, and for expand F also
+# the letters of the chain, built once and placed once per packed
+# P-partition walked; the chain's P-partitions bound both counts.  A larger
+# request exits 2 before any term is placed: for expand, decided from alpha
+# and k alone; for gamma, exactly, from the packed counts it walks anyway
+EXPAND_MAX_TERMS = 10**5
+
+
 def cmd_gamma(args):
     try:
         with open(args.poset) as fh:
             poset = ppartitions.parse_poset(fh.read())
     except OSError as exc:
         raise CLIError(f"cannot read poset file: {exc}") from None
-    _emit_series(ppartitions.gamma(poset, _at_least(args.vars, 1, "--vars")), args.format)
+    k = _at_least(args.vars, 1, "--vars")
+    _emit_series(ppartitions.gamma(poset, k, EXPAND_MAX_TERMS), args.format)
     return 0
-
-
-# the most entries ``expand`` writes: k exponents per term, and for F also
-# the letters of the chain, built once and placed once per packed
-# P-partition walked; the chain's P-partitions bound both counts.  A larger
-# request exits 2 before any work, decided from alpha and k alone, since
-# its time and memory grow with the count
-EXPAND_MAX_TERMS = 10**5
 
 
 def cmd_expand(args):
@@ -233,14 +236,55 @@ def cmd_verify(args):
     return 0 if failed == 0 else 1
 
 
+# each command's options, keyed by flag in help order: the keywords of their
+# add_argument.  Each takes one value, stored under its "dest", else under its
+# flag without "--", "-" read as "_"; a default is stored as given, not typed
+_FORMAT = {"--format": dict(choices=("json", "text"), default="json")}
+_OPERATION = {"--algebra": dict(required=True, choices=hopf.ALGEBRAS),
+              "--lambda": dict(dest="lam", default="-1",
+                               help="quasi-shuffle weight for hsym (default -1)"),
+              **_FORMAT}
+
+# name: (help, options, number of elements, handler)
+COMMANDS = {
+    "product": ("multiply two basis elements", _OPERATION, 2, cmd_operation),
+    "coproduct": ("coproduct of a basis element", _OPERATION, 1, cmd_operation),
+    "antipode": ("antipode of a basis element", _OPERATION, 1, cmd_operation),
+    "convert": ("change basis between F and M",
+                {"--from": dict(dest="frm", required=True, choices=("f", "m")),
+                 "--to": dict(required=True, choices=("f", "m")), **_FORMAT},
+                1, cmd_convert),
+    "map": ("apply one of the four surjections",
+            {"--which": dict(required=True, choices=tuple(MAPS)), **_FORMAT}, 1, cmd_map),
+    "gamma": ("generating function of a poset file",
+              {"--poset": dict(required=True), "--vars": dict(type=int, required=True),
+               **_FORMAT}, 0, cmd_gamma),
+    "expand": ("truncated expansion of a basis element",
+               {"--basis": dict(required=True, choices=("m", "f")),
+                "--vars": dict(type=int, required=True), **_FORMAT}, 1, cmd_expand),
+    "verify": ("run a verification suite",
+               {"--suite": dict(required=True, choices=("hopf", "morphisms", "square",
+                                                        "surjectivity", "gamma")),
+                "--max-degree": dict(type=int, default=4),
+                "--lambda": dict(dest="lam"),
+                "--jobs": dict(type=int, default=1),
+                "--algebra": dict(choices=hopf.ALGEBRAS,
+                                  help="one algebra (default: hsym, ssym and rqsym-m)"),
+                **_FORMAT}, 0, cmd_verify),
+}
+
+# a string of this form is a value, not an option, so that signed
+# permutations like "-3,1,2,-4" pass as positionals
+_NEGATIVE = re.compile(r"^-\d[\d,\-/]*$")
+
+
 class _Parser(argparse.ArgumentParser):
-    # let signed permutations like "-3,1,2,-4" pass as positionals
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d[\d,\-/]*$")
+        self._negative_number_matcher = _NEGATIVE
 
 
-@functools.cache  # built on the first call, then shared by every call of main
+@functools.cache  # built on the first call that needs argparse, then shared
 def build_parser():
     parser = _Parser(
         prog="wqsym",
@@ -249,156 +293,77 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     parser.commands = sub.choices  # name -> subcommand parser, filled below
-
-    def common(p, nargs_elements=0):
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        if nargs_elements:
-            p.add_argument("elements", nargs=nargs_elements)
-
-    for name, n_elements, help_text in (
-        ("product", 2, "multiply two basis elements"),
-        ("coproduct", 1, "coproduct of a basis element"),
-        ("antipode", 1, "antipode of a basis element"),
-    ):
+    for name, (help_text, options, n_elements, fn) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--algebra", required=True, choices=hopf.ALGEBRAS)
-        p.add_argument("--lambda", dest="lam", default="-1",
-                       help="quasi-shuffle weight for hsym (default -1)")
-        common(p, n_elements)
-        p.set_defaults(fn=cmd_operation)
-
-    p = sub.add_parser("convert", help="change basis between F and M")
-    p.add_argument("--from", dest="frm", required=True, choices=("f", "m"))
-    p.add_argument("--to", dest="to", required=True, choices=("f", "m"))
-    common(p, 1)
-    p.set_defaults(fn=cmd_convert)
-
-    p = sub.add_parser("map", help="apply one of the four surjections")
-    p.add_argument("--which", required=True,
-                   choices=tuple(MAPS))
-    common(p, 1)
-    p.set_defaults(fn=cmd_map)
-
-    p = sub.add_parser("gamma", help="generating function of a poset file")
-    p.add_argument("--poset", required=True)
-    p.add_argument("--vars", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_gamma)
-
-    p = sub.add_parser("expand", help="truncated expansion of a basis element")
-    p.add_argument("--basis", required=True, choices=("m", "f"))
-    p.add_argument("--vars", type=int, required=True)
-    common(p, 1)
-    p.set_defaults(fn=cmd_expand)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=("hopf", "morphisms", "square", "surjectivity", "gamma"))
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--algebra", default=None, choices=hopf.ALGEBRAS,
-                   help="one algebra (default: hsym, ssym and rqsym-m)")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
-
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        if n_elements:
+            p.add_argument("elements", nargs=n_elements)
+        p.set_defaults(fn=fn)
     return parser
 
 
-@functools.cache  # built on the first plain line of each command
-def _plain_table(command):
-    """What ``_read_plain`` needs of a command parser, read off its own
-    argparse declarations: each exact option string's store action, the
-    positional action with an integral ``nargs``, the required actions,
-    the namespace of defaults (``_actions``, then ``_defaults``), and the
-    matcher that makes a leading "-" a negative number.  None when the
-    parser declares anything else, so that argparse reads every line."""
-    if (command.prefix_chars != "-" or command.fromfile_prefix_chars is not None
-            or command._mutually_exclusive_groups or command._has_negative_number_optionals):
-        return None
-    options, elements, base = {}, None, {}
-    for action in command._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue  # "-h" is no option of the table, so help goes to argparse
-        if type(action) is not argparse._StoreAction or action.default is argparse.SUPPRESS:
-            return None
-        if action.option_strings and action.nargs is None:
-            options.update(dict.fromkeys(action.option_strings, action))
-        elif not action.option_strings and type(action.nargs) is int and elements is None:
-            elements = action
-        else:
-            return None
-        # an unseen string default is converted by the action's type
-        default = action.default
-        if isinstance(default, str):
-            default = command._registry_get("type", action.type, action.type)(default)
-        base.setdefault(action.dest, default)
-    for dest, value in command._defaults.items():
-        base.setdefault(dest, value)
-    required = [a for a in command._actions if a.required]
-    return options, elements, required, base, command._negative_number_matcher.match
-
-
-def _read_plain(command, name, argv):
-    """The namespace ``command``'s argparse parse gives for ``argv``, the
-    arguments after the command ``name``, when the line is plain: every
-    option an exact option string followed by its one value, the elements
-    one contiguous run of exactly ``nargs``, every value accepted by its
-    action's ``type`` and ``choices``, every required action present.
-    None for any other line, which argparse then reads."""
-    table = _plain_table(command)
-    if table is None:
-        return None
-    options, elements, required, base, negative = table
-    seen = {}
+def _read_plain(name, argv):
+    """The namespace argparse gives for ``argv``, the arguments after the
+    command ``name``, when the line is plain: every option an exact flag of
+    ``COMMANDS[name]`` followed by its one value, the elements one
+    contiguous run of exactly their number, every value accepted by its
+    option's ``type`` and ``choices``, every required option present.  None
+    for any other line, which argparse then reads."""
+    _, options, n_elements, fn = COMMANDS[name]
+    seen = {}  # flag, or "elements" for the run of elements, -> its value
     i, n = 0, len(argv)
     while i < n:
-        action = options.get(argv[i])
-        if action is None:
-            action, start = elements, i  # the run of elements starts here
-        else:
-            start = i + 1  # the option's one value
-        if action is None or action in seen:
-            return None  # a string where no element may stand, or a repeat
-        i = start + (action.nargs or 1)
-        if i > n:
-            return None
-        convert = command._registry_get("type", action.type, action.type)
-        values = []
-        for text in argv[start:i]:
-            if text[:1] == "-" and not negative(text):
+        flag = argv[i]
+        if flag in options:  # the option's one value follows
+            start, i = i + 1, i + 2
+        else:  # the run of elements starts here
+            flag, start, i = "elements", i, i + n_elements
+        if start == i or i > n or flag in seen:
+            return None  # a string where no element may stand, a short line or a repeat
+        texts = argv[start:i]
+        for text in texts:
+            if text[:1] == "-" and not _NEGATIVE.match(text):
                 return None  # an option string, "-h", "--" or a missing value
+        if flag == "elements":
+            seen[flag] = texts
+            continue
+        keywords, value = options[flag], texts[0]
+        if "type" in keywords:
             try:
-                value = convert(text)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                value = keywords["type"](value)
+            except ValueError:
                 return None
-            if action.choices is not None and value not in action.choices:
-                return None
-            values.append(value)
-        seen[action] = values[0] if action.nargs is None else values
-    if any(action not in seen for action in required):
-        return None
-    args = argparse.Namespace(command=name)
-    namespace = vars(args)
-    namespace.update(base)
-    namespace.update((action.dest, value) for action, value in seen.items())
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        seen[flag] = value
+    args = argparse.Namespace(command=name, fn=fn)
+    if n_elements:
+        if "elements" not in seen:
+            return None
+        args.elements = seen["elements"]
+    for flag, keywords in options.items():
+        if flag not in seen and keywords.get("required"):
+            return None
+        setattr(args, keywords.get("dest") or flag[2:].replace("-", "_"),
+                seen.get(flag, keywords.get("default")))
     return args
 
 
 def parse_argv(argv):
-    """``build_parser().parse_args(argv)``.  A plain line of a known
-    command is read by ``_read_plain``, in one pass over its parser's
-    declarations; any other line by argparse: the command's parser alone
-    when the first element names a command, the top-level parser for help,
-    an unknown command or none.  argparse writes every help and error."""
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:  # help, an unknown command or no command at all
-        return parser.parse_args(argv)
-    args = _read_plain(command, argv[0], argv[1:])
+    """``build_parser().parse_args(argv)``.  A plain line of a command in
+    ``COMMANDS`` is read by ``_read_plain`` in one pass over the table, with
+    no parser built.  argparse reads any other line, and writes only help
+    and errors: the command's parser alone when the first element names a
+    command, the top-level parser for help, an unknown command or none."""
+    if not argv or argv[0] not in COMMANDS:  # help, an unknown command or none
+        return build_parser().parse_args(argv)
+    args = _read_plain(argv[0], argv[1:])
     if args is not None:
         return args
-    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    parser = build_parser()
+    args, extra = parser.commands[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
     if extra:
         parser.error("unrecognized arguments: " + " ".join(extra))
     return args

@@ -427,10 +427,16 @@ def _place(counts, k):
     return out
 
 
-def gamma(poset, k):
+def gamma(poset, k, max_entries=None):
     """Gamma(P) truncated to k variables: the packed counts, with at most
-    min(k, |P|) values, placed on the k variables."""
-    return Series.wrap(k, _place(_exponent_counts(poset, min(k, len(poset))), k))
+    min(k, |P|) values, placed on the k variables.  With ``max_entries``,
+    a ValueError before any placement if the series has more entries, k
+    exponents for each (alpha, l(alpha)-subset) that ``_place`` writes."""
+    counts = _exponent_counts(poset, min(k, len(poset)))
+    if max_entries is not None and k * sum(
+            _binomial(k, len(alpha), max_entries) for alpha in counts) > max_entries:
+        raise ValueError(f"gamma would write more than {max_entries} entries")
+    return Series.wrap(k, _place(counts, k))
 
 
 def gamma_m(poset):

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wqsym import morphisms, ppartitions
+from wqsym import cli, morphisms, ppartitions
 from wqsym.cli import _listing, _Parser, build_parser, main, parse_argv
 from wqsym.compositions import EPS
 from wqsym.hopf import ALGEBRAS, context_by_name
@@ -175,6 +175,20 @@ def test_gamma_command(tmp_path, capsys):
     assert blob["terms"] == [{"coeff": "1", "exps": ["1", "e"]}]
     code, _, err = run(capsys, "gamma", "--poset", str(tmp_path / "nope"), "--vars", "2")
     assert code == 2 and "cannot read" in err
+
+
+def test_gamma_refuses_an_oversized_request(tmp_path, capsys, monkeypatch):
+    """Three labels in 10^5 variables: counted from the packed counts, and
+    refused before any term is placed."""
+    def never(counts, k):
+        raise AssertionError("the oversized series was placed")
+
+    monkeypatch.setattr(ppartitions, "_place", never)
+    poset = tmp_path / "small.poset"
+    poset.write_text("1 < 2\n-3\n")
+    code, out, err = run(capsys, "gamma", "--poset", str(poset), "--vars", "100000")
+    assert (code, out) == (2, "")
+    assert err == "error: gamma would write more than 100000 entries\n"
 
 
 def test_gamma_on_deep_and_cyclic_posets(tmp_path, capsys):
@@ -581,9 +595,10 @@ def queries_like_lines():
 
 def test_plain_lines_never_reach_argparse(monkeypatch):
     """Every valid line of the dispatch corpus and of a query-shaped corpus
-    is read by the plain reader: with argparse's parse refused, each still
-    gives argparse's namespace.  The two valid lines with "=" or "--" are
-    irregular, and do go to argparse."""
+    is read by the plain reader: with argparse's parse refused, and the
+    building of its parser too, each still gives argparse's namespace.
+    The two valid lines with "=" or "--" are irregular, and do go to
+    argparse."""
     parse = build_parser().parse_args
     valid = [argv for argv in DISPATCH_CORPUS
              if isinstance(outcome(parse, list(argv))[0], argparse.Namespace)]
@@ -596,11 +611,15 @@ def test_plain_lines_never_reach_argparse(monkeypatch):
     def refuse(self, args=None, namespace=None):
         raise AssertionError(f"argparse read {args}")
 
+    def refuse_to_build():
+        raise AssertionError("argparse built its parser")
+
     monkeypatch.setattr(_Parser, "parse_known_args", refuse)
-    assert [parse_argv(list(argv)) for argv in lines] == expected
     for argv in irregular:
         with pytest.raises(AssertionError, match="argparse read"):
             parse_argv(list(argv))
+    monkeypatch.setattr(cli, "build_parser", refuse_to_build)
+    assert [parse_argv(list(argv)) for argv in lines] == expected
 
 
 # one command of each kind: product, coproduct and antipode on every

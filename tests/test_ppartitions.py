@@ -258,6 +258,19 @@ def test_gamma_needs_a_nonnegative_number_of_values():
             expand_f(alpha, -1)
 
 
+def test_gamma_counts_its_entries_before_placing():
+    """The bound is exact: with ``max_entries`` at k times the number of
+    terms, gamma gives the series; one less, a ValueError."""
+    rng = random.Random(29)
+    posets = [Poset([]), FORK] + [random_poset(rng, 6) for _ in range(150)]
+    for poset in posets:
+        for k in range(1, 7):
+            entries = k * len(gamma(poset, k).terms)
+            assert gamma(poset, k, entries) == gamma(poset, k), (poset, k)
+            with pytest.raises(ValueError, match=f"more than {entries - 1} entries"):
+                gamma(poset, k, entries - 1)
+
+
 def test_gamma_of_a_deep_chain():
     # one partition per place of the single step 1 -> 2 along 1 < ... < 3000
     got = gamma(chain_poset(tuple(range(1, 3001))), 2)
