@@ -195,31 +195,36 @@ def _run_sharded(verifier, params, jobs):
         return merge_reports([f.result() for f in futures])
 
 
+# suite: its runs, each (law name prefix, verifier, its arguments before the
+# shard), from the degree and, for hopf alone, the weight and the algebras;
+# ``cmd_verify`` refuses an algebra, or a weight but -1, on any other suite
+SUITES = {
+    "hopf": lambda d, lam, algebras: [(f"{a}: ", _verify_algebra, (a, lam, d)) for a in algebras],
+    "morphisms": lambda d, *_: [("", morphisms.verify_morphism_laws, (d,)),
+                                ("", morphisms.verify_annihilation, (d,))],
+    "square": lambda d, *_: [("", morphisms.verify_square, (d,))],
+    "surjectivity": lambda d, *_: [("", morphisms.verify_surjectivity, (d,))],
+    "gamma": lambda d, *_: [("", ppartitions.verify_gamma_identities,
+                             (d, 2 * d, d + 1, 2 * (d + 1)))],
+}
+
+
 def cmd_verify(args):
     degree = _at_least(args.max_degree, 0, "--max-degree")
     jobs = _at_least(args.jobs, 1, "--jobs")
     meta = {"suite": args.suite, "max_degree": degree}
-    # (law name prefix, verifier, its arguments before the shard)
+    lam = None if args.lam is None else _parse_lambda(args.lam)
     if args.suite == "hopf":
-        if args.lam is None:
+        if lam is None:
             raise CLIError("verify --suite hopf needs an explicit --lambda")
-        lam = _parse_lambda(args.lam)
         meta["lambda"] = str(lam)
-        algebras = [args.algebra] if args.algebra else ["hsym", "ssym", "rqsym-m"]
-        runs = [(f"{name}: ", _verify_algebra, (name, lam, degree)) for name in algebras]
-    elif args.suite == "square":
-        runs = [("", morphisms.verify_square, (degree,))]
-    elif args.suite == "morphisms":
-        runs = [("", morphisms.verify_morphism_laws, (degree,)),
-                ("", morphisms.verify_annihilation, (degree,))]
-    elif args.suite == "surjectivity":
-        runs = [("", morphisms.verify_surjectivity, (degree,))]
-    else:
-        runs = [("", ppartitions.verify_gamma_identities,
-                 (degree, 2 * degree, degree + 1, 2 * (degree + 1)))]
-
+    elif args.algebra:
+        raise CLIError(f"--algebra is read by --suite hopf only, not {args.suite}")
+    elif lam not in (None, -1):
+        raise CLIError(f"--suite {args.suite} runs at weight -1 only, not --lambda {args.lam}")
+    algebras = [args.algebra] if args.algebra else ["hsym", "ssym", "rqsym-m"]
     laws = []
-    for prefix, verifier, params in runs:
+    for prefix, verifier, params in SUITES[args.suite](degree, lam, algebras):
         for law in _run_sharded(verifier, params, jobs):
             law.law = prefix + law.law
             laws.append(law)
@@ -263,8 +268,7 @@ COMMANDS = {
                {"--basis": dict(required=True, choices=("m", "f")),
                 "--vars": dict(type=int, required=True), **_FORMAT}, 1, cmd_expand),
     "verify": ("run a verification suite",
-               {"--suite": dict(required=True, choices=("hopf", "morphisms", "square",
-                                                        "surjectivity", "gamma")),
+               {"--suite": dict(required=True, choices=tuple(SUITES)),
                 "--max-degree": dict(type=int, default=4),
                 "--lambda": dict(dest="lam"),
                 "--jobs": dict(type=int, default=1),

@@ -116,6 +116,7 @@ def m_to_f(alpha):
     )
 
 
+# module-level: every context shares them, and perfbench traces them by name
 f_to_m_cached = functools.cache(f_to_m)
 m_to_f_cached = functools.cache(m_to_f)
 
@@ -152,41 +153,16 @@ def rqsym_antipode_f(alpha):
     return s.map_basis(m_to_f_cached)
 
 
-def _graded_antipode(product, coproduct, degree, memo, key):
-    """The antipode of ``key`` by the recursion over the coproduct, whether
-    or not a closed form exists, with every value it computes stored in
-    ``memo``: S(x) = -sum S(x') x'' over the reduced splits x' @ x'',
-    each product accumulated straight into one dict, as in ``lc_mul``."""
-    found = memo.get(key)
-    if found is not None:
-        return found
-    deg = degree(key)
-    if deg == 0:
-        out = LinComb.single(key)
-    else:
-        terms = {}
-        for (a, b), c in coproduct(key).terms.items():
-            if degree(a) < deg:
-                for ka, ca in _graded_antipode(product, coproduct, degree, memo, a).terms.items():
-                    accumulate(terms, product(ka, b).terms.items(), -c * ca)
-            else:
-                # connectedness: the only non-reduced term is key @ unit
-                assert a == key and b == () and c == 1, (key, a, b, c)
-        out = LinComb.wrap(terms)
-    memo[key] = out
-    return out
-
-
 class HopfContext:
     """A Hopf algebra presented on a basis, with finite degree strata:
     one row of the table in ``context_by_name``.
 
-    Product, coproduct and the closed-form antipode are memoized per
-    context by ``functools.cache`` (the plain functions are their
-    ``__wrapped__``), and ``graded_antipode`` is ``_graded_antipode`` bound
-    to a memo dict of its own.  No memo holds the context, so a context is
-    freed by reference counting as soon as it is dropped, and a new one
-    starts cold."""
+    The context owns its memos, as attributes read at call time:
+    ``product``, ``coproduct`` and ``closed_antipode`` (None without a
+    closed form) are ``functools.cache`` of the row's plain functions, and
+    ``_graded`` holds the values of ``graded_antipode``.  No memo holds the
+    context, so a dropped context is freed by reference counting, and a
+    new one starts cold."""
 
     unit = ()
 
@@ -199,9 +175,8 @@ class HopfContext:
         self.product = functools.cache(product)
         self.coproduct = functools.cache(coproduct)
         self.basis = basis
-        self.graded_antipode = functools.partial(
-            _graded_antipode, self.product, self.coproduct, self.degree, {})
-        self._antipode = functools.cache(antipode) if antipode else self.graded_antipode
+        self.closed_antipode = functools.cache(antipode) if antipode else None
+        self._graded = {}
 
     def counit(self, key):
         return 1 if key == () else 0
@@ -216,7 +191,32 @@ class HopfContext:
 
     def antipode(self, key):
         """The closed-form antipode if the row has one, else the graded one."""
-        return self._antipode(key)
+        closed = self.closed_antipode
+        return closed(key) if closed else self.graded_antipode(key)
+
+    def graded_antipode(self, key):
+        """The antipode of ``key`` by the generic recursion of the module
+        docstring, whether or not a closed form exists, each value stored in
+        ``_graded`` and each product accumulated into one dict, as in ``lc_mul``."""
+        found = self._graded.get(key)
+        if found is not None:
+            return found
+        product, degree = self.product, self.degree
+        deg = degree(key)
+        if deg == 0:
+            out = LinComb.single(key)
+        else:
+            terms = {}
+            for (a, b), c in self.coproduct(key).terms.items():
+                if degree(a) < deg:
+                    for ka, ca in self.graded_antipode(a).terms.items():
+                        accumulate(terms, product(ka, b).terms.items(), -c * ca)
+                else:
+                    # connectedness: the only non-reduced term is key @ unit
+                    assert a == key and b == () and c == 1, (key, a, b, c)
+            out = LinComb.wrap(terms)
+        self._graded[key] = out
+        return out
 
 
 def context_by_name(name, lam=-1):

@@ -10,21 +10,19 @@ commuting square d1 phi2 = phi1 d2, the homomorphism laws at weight -1,
 and the vanishing laws for phi2) are implemented as exhaustive
 checks over degree-bounded strata, never assumed.
 
-``_hom_laws`` states the two homomorphism laws of any of the four maps,
-f(xy) = f(x) f(y) and (f @ f) Delta = Delta f, from the (product,
-coproduct) of its source and target; a failure lists both sides.
+``_hom_laws`` states the two homomorphism laws of any of the four maps.
 Equality on the quasi-symmetric side is always decided in the monomial
 basis after converting, which is multiplicity free, so d1 and d2 are
 checked against the monomial product and coproduct.
 
 Every memo belongs to one verifier call, so a new call, a shard and a
 ``--jobs`` worker each start cold.  ``verify_morphism_laws`` memoizes
-phi2, phi1 on monomials and the monomial images of d1 and d2, and takes
-the memoized product and coproduct of the ssym and rqsym-m contexts and
-the memoized hsym product.  The hsym coproduct stays plain: a memo of it
-would hold the splits of every signed permutation the suite visits, which
-doubles the memory of the budget-5 run.  ``verify_annihilation`` memoizes
-through ``_phi2_by_shape``.
+phi2, phi1 on monomials and the monomial images of d1 and d2, and reads
+the product and coproduct of the ssym and rqsym-m contexts and the hsym
+product off contexts it builds.  The hsym coproduct is the plain
+``standard_splits``: a memo of it would hold the splits of every signed
+permutation the suite visits, which doubles the memory of the budget-5
+run.  ``verify_annihilation`` memoizes through ``_phi2_by_shape``.
 
 The vanishing laws rest on the shape of phi2: it is zero on every word
 that is not neg* pos+ neg?.  Two places read that shape:
@@ -46,7 +44,7 @@ from .compositions import (
     wcomp,
     wcomp_preimage,
 )
-from .hopf import context_by_name, f_to_m_cached, m_to_f_cached
+from .hopf import context_by_name, f_to_m_cached, m_to_f_cached, standard_splits
 from .words import (
     perm_to_text,
     positive_permutations,
@@ -131,9 +129,9 @@ def phi2(word):
 def _hom_laws(name, f, source, target, pairs, singles, show, text):
     """The two laws of a homomorphism f from the algebra with (product,
     coproduct) ``source`` to the one with ``target``: f(xy) = f(x) f(y) on
-    ``pairs`` and (f @ f) Delta = Delta f on ``singles``.  ``show`` renders
-    a source key and ``text`` a target key; the coproduct sides list pairs
-    of target keys."""
+    ``pairs`` and (f @ f) Delta = Delta f on ``singles``; a failure lists
+    both sides.  ``show`` renders a source key and ``text`` a target key;
+    the coproduct sides list pairs of target keys."""
     (mul, delta), (target_mul, target_delta) = source, target
     return [
         Law(f"{name} is multiplicative", pairs,
@@ -175,11 +173,8 @@ def verify_morphism_laws(budget=4, shard=(0, 1)):
     signed_singles = graded_tuples(signed, 1, reach)
     comp_singles = graded_tuples(comps, 1, reach)
     memoized = lambda ctx: (ctx.product, ctx.coproduct)
-    # phi2 and d2 multiplicativity share the memoized product of each pair;
-    # the coproduct is the plain function under the context's memo, if it has
-    # one (perfbench's tracer replaces it), for the memory (see the module docstring)
-    product, coproduct = memoized(context_by_name("hsym", -1))
-    hsym = (product, getattr(coproduct, "__wrapped__", coproduct))
+    # phi2 and d2 multiplicativity share the memoized product of each pair
+    hsym = (context_by_name("hsym", -1).product, standard_splits)
     ssym = memoized(context_by_name("ssym"))
     # d1 and d2 land in F; their laws are checked after F -> M, where the
     # product is the defining quasi-shuffle, never ``rqsym_product_f``,

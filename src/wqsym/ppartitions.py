@@ -36,8 +36,8 @@ import random
 from fractions import Fraction
 
 from .lincomb import LinComb, lc_mul
-from .compositions import EPS, ntilde_add, star_product, total_weight, wcomp, wcomp_preimage
-from .hopf import f_to_m
+from .compositions import EPS, ntilde_add, total_weight, wcomp, wcomp_preimage
+from .hopf import context_by_name, f_to_m
 from .laws import Law, graded_tuples, run_laws
 from .words import (
     perm_to_text,
@@ -529,13 +529,13 @@ def verify_gamma_identities(max_len=3, k=6, pair_len=4, pair_k=8,
       signed permutation of length <= max_len;
     * Gamma is multiplicative for the weight -1 product on pairs of
       combined length <= pair_len, the product of monomial functions
-      being ``star_product``;
+      being that of the rqsym-m context;
     * Gamma of a disjoint union factors, on random poset pairs;
     * the partitions of a poset with values in 1..random_k are the union
       of the partitions of its linear extensions, on random posets.
 
     For this call only, Gamma of a word is memoized by ``_chain_shape``,
-    which is all the odometer reads of a chain, and each M product by its keys.
+    which is all the odometer reads of a chain, and each M product by its context.
     """
     perms = [list(signed_permutations(n)) for n in range(max(max_len, pair_len) + 1)]
 
@@ -545,7 +545,7 @@ def verify_gamma_identities(max_len=3, k=6, pair_len=4, pair_k=8,
     extension_cases = [(random_poset(rng, 4),) for _ in range(random_cases)]
 
     shapes = {}  # Gamma of the first chain met with each shape
-    product = functools.cache(star_product)
+    product = context_by_name("rqsym-m").product
 
     @functools.cache
     def gamma_word(pi):

@@ -336,6 +336,32 @@ def test_more_suites_pass_for_any_split(capsys, flags):
     assert code == 0 and duo == solo
 
 
+@pytest.mark.parametrize("flags", [
+    ("--suite", "square", "--algebra", "hsym"),
+    ("--suite", "morphisms", "--algebra", "ssym"),
+    ("--suite", "surjectivity", "--algebra", "qsym"),
+    ("--suite", "gamma", "--algebra", "rqsym-m"),
+    ("--suite", "square", "--lambda", "2/3"),
+    ("--suite", "morphisms", "--lambda", "2/3"),
+    ("--suite", "surjectivity", "--lambda", "0"),
+    ("--suite", "gamma", "--lambda", "1"),
+])
+def test_verify_refuses_options_the_suite_does_not_read(capsys, flags):
+    """A report must not pass a check that was never run: an algebra or a
+    weight other than -1 on a suite that reads neither exits 2, before any
+    law runs."""
+    code, out, err = run(capsys, "verify", *flags, "--max-degree", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and flags[2] in err
+
+
+def test_verify_reads_weight_minus_one_as_the_default(capsys):
+    args = ("verify", "--suite", "square", "--max-degree", "2")
+    code, plain, _ = run(capsys, *args)
+    assert code == 0
+    assert run(capsys, *args, "--lambda", "-1") == (0, plain, "")
+
+
 def test_jobs_capped_at_cpu_count(capsys, monkeypatch):
     """With one CPU, --jobs 8 runs in this process and starts no worker."""
     def no_pool(*args, **kwargs):

@@ -114,9 +114,9 @@ def test_annihilation_small():
 def test_memoized_morphism_suites_match_the_plain_functions(monkeypatch):
     """Every memo the two verifiers build is checked against its plain
     function: with ``morphisms.cache`` the identity, the reports are
-    equal.  The patch reaches only the memos of ``morphisms``: the hsym
-    context keeps its memoized coproduct, whose ``__wrapped__`` the morphism
-    laws read."""
+    equal.  The patch reaches only the memos of ``morphisms``; the
+    contexts keep theirs, and the hsym coproduct is the plain
+    ``standard_splits`` either way."""
     memoized = [report_to_json(verify_morphism_laws(2)),
                 report_to_json(verify_annihilation(3))]
     monkeypatch.setattr(morphisms, "cache", lambda f: f)
@@ -124,6 +124,24 @@ def test_memoized_morphism_suites_match_the_plain_functions(monkeypatch):
              report_to_json(verify_annihilation(3))]
     assert memoized == plain
     assert [r["summary"]["status"] for r in plain] == ["pass", "pass"]
+
+
+def test_morphism_laws_take_the_plain_hsym_coproduct(monkeypatch):
+    """The hsym coproduct laws call ``standard_splits`` by name, never the
+    context's coproduct, whatever wraps it: a counting wrapper with no
+    ``__wrapped__`` is never called."""
+    calls = []
+    init = hopf.HopfContext.__init__
+
+    def counting_init(ctx, *args):
+        init(ctx, *args)
+        if ctx.name == "hsym":
+            coproduct = ctx.coproduct
+            ctx.coproduct = lambda key: calls.append(key) or coproduct(key)
+
+    monkeypatch.setattr(hopf.HopfContext, "__init__", counting_init)
+    assert report_to_json(verify_morphism_laws(2))["summary"]["failed"] == 0
+    assert calls == []
 
 
 def test_morphism_memos_belong_to_one_call(monkeypatch):
