@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import re
@@ -60,11 +61,13 @@ def _listing(lc, key_text=None, tensor=False):
         body = [_PAIR % (terms[kk], key_text(kk[0]), key_text(kk[1]))
                 for kk in sorted_keys(terms)]
     else:
-        # key_text of a nonempty key joins the texts of its entries by ","
-        texts = {x: str(x) for x in set().union(*terms)}  # str(EPS) is "e"
+        # key_text of a nonempty key is "%s,%s,...", and str(EPS) is "e"
         sep, form = ('",\n        "', _EXPS) if key_text is None else (",", _KEY)
-        body = [form % (terms[k], sep.join(map(texts.get, k)) if k else key_text(k))
-                for k in sorted_keys(terms)]
+        body = []
+        for n, keys in itertools.groupby(sorted_keys(terms), len):
+            keys = list(keys)
+            texts = map(sep.join(("%s",) * n).__mod__, keys) if n else map(key_text, keys)
+            body += map(form.__mod__, zip(map(terms.__getitem__, keys), texts))
     if not body:
         return head + '  "terms": []\n}'
     return head + '  "terms": [\n' + ",\n".join(body) + "\n  ]\n}"
@@ -197,7 +200,7 @@ def _run_sharded(verifier, params, jobs):
 
 # suite: its runs, each (law name prefix, verifier, its arguments before the
 # shard), from the degree and, for hopf alone, the weight and the algebras;
-# ``cmd_verify`` refuses an algebra, or a weight but -1, on any other suite
+# ``cmd_verify`` refuses an algebra on any other suite, and a weight but -1 unless hsym runs
 SUITES = {
     "hopf": lambda d, lam, algebras: [(f"{a}: ", _verify_algebra, (a, lam, d)) for a in algebras],
     "morphisms": lambda d, *_: [("", morphisms.verify_morphism_laws, (d,)),
@@ -217,6 +220,8 @@ def cmd_verify(args):
     if args.suite == "hopf":
         if lam is None:
             raise CLIError("verify --suite hopf needs an explicit --lambda")
+        if args.algebra not in (None, "hsym") and lam != -1:
+            raise CLIError(f"{args.algebra} reads no weight: --lambda must be -1, not {args.lam}")
         meta["lambda"] = str(lam)
     elif args.algebra:
         raise CLIError(f"--algebra is read by --suite hopf only, not {args.suite}")

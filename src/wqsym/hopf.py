@@ -116,9 +116,10 @@ def m_to_f(alpha):
     )
 
 
-# module-level: every context shares them, and perfbench traces them by name
-f_to_m_cached = functools.cache(f_to_m)
-m_to_f_cached = functools.cache(m_to_f)
+# module-level: every context shares them, and perfbench traces them by name;
+# bounded, as they outlive every context (the budget-5 suites need 377 keys)
+f_to_m_cached = functools.lru_cache(maxsize=1024)(f_to_m)
+m_to_f_cached = functools.lru_cache(maxsize=1024)(m_to_f)
 
 
 def rqsym_product_f(alpha, beta):

@@ -16,12 +16,20 @@ with the empty word as unit.  The bullet is a parameter: a callable
 zero and the whole generated word is dropped.  Signed permutations use
 the bullet a.b = a when both letters are negative, 0 otherwise.
 
-``shifted_quasi_shuffle`` takes signed permutations only: it writes
-st(sigma * tau[m]) by relabelling merged words, never calling ``standardize``.
+Both products read their terms off one table per shape (m, n), the word
+lengths: the quasi-shuffles of 0..m-1 with m..m+n-1 grouped by merge set,
+in the order the recursion first meets them, each group read by one
+``itemgetter``: a few C calls per merge set, not a Python frame per letter.
+Tables grow as the Delannoy numbers and cost a few products each to build,
+so only m + n <= TABLE_LENGTH, a bound measured to cover the products of
+degree-6 antipodes, gets one; a longer pair takes first letters by the
+recursion until the rest fits.  ``shifted_quasi_shuffle`` relabels merged
+words of signed permutations, never calling ``standardize``.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .lincomb import LinComb
 
@@ -52,90 +60,118 @@ def standardize(word):
 
 def shift(word, m):
     """Add m to positive letters and -m to negative letters."""
-    return tuple(a + m if a > 0 else a - m for a in word)
+    return tuple([a + m if a > 0 else a - m for a in word])
+
+
+TABLE_LENGTH = 6  # the largest m + n with a table, chosen by measurement
+_tables = {}  # (m, n, merging) -> the table _interleavings(m, n, merging) builds
+
+
+def _interleavings(m, n, merging):
+    """The table of shape (m, n), of its shuffles alone unless ``merging``,
+    kept if m, n >= 1: per merge set (merges, mask, getter, length, r), each
+    pair i < j of ``merges`` merging into i and dropping j, ``mask`` their
+    bits, ``getter`` reading the words, ``length`` letters each, off u v."""
+    if not (m and n):
+        return [((), 0, operator.itemgetter(slice(None)), m + n, 0)]
+    groups = {}
+
+    def rec(i, j, word, merges):
+        if i == m or j == n:
+            groups.setdefault(merges, []).extend([*word, *range(i, m), *range(m + j, m + n)])
+            return
+        rec(i + 1, j, word + (i,), merges)
+        rec(i, j + 1, word + (m + j,), merges)
+        if merging:
+            rec(i + 1, j + 1, word + (i,), merges + ((i, m + j),))
+
+    rec(0, 0, (), ())
+    del rec  # rec refers to itself through its cell; free it without the gc
+    table = _tables[m, n, merging] = [  # one index alone would get a letter, not a tuple
+        (merges, sum(1 << i | 1 << j for i, j in merges), operator.itemgetter(*flat)
+         if flat[1:] else operator.itemgetter(slice(1)), m + n - len(merges), len(merges))
+        for merges, flat in groups.items()]
+    return table
+
+
+def _walk(u, v, merge):
+    """The points (i, j, prefix), in the recursion's order, at which it has
+    written ``prefix``, with lam (a.b) as ``merge(a, b)``, and left u[i:] and
+    v[j:] that fit a table or have an empty word.  Lazy: holds one path."""
+    stack = [(0, 0, ())]
+    while stack:
+        i, j, prefix = stack.pop()
+        if i == len(u) or j == len(v) or len(u) + len(v) - i - j <= TABLE_LENGTH:
+            yield i, j, prefix
+            continue
+        c = merge(u[i], v[j])
+        stack += [(i + 1, j + 1, prefix + (c,))] if c else []
+        stack += (i, j + 1, prefix + (v[j],)), (i + 1, j, prefix + (u[i],))  # u[i]'s branch on top
 
 
 def quasi_shuffle(u, v, lam, bullet=sign_bullet):
     """Quasi-shuffle product of two words as a LinComb over words."""
+    if not u or not v:
+        return LinComb.single(u + v)
     out = {}
-    nu, nv = len(u), len(v)
-    prefix = []
-    push = prefix.append
-    pop = prefix.pop
-
-    def rec(i, j, coeff):
-        if i == nu:
-            w = tuple(prefix) + v[j:]
-            out[w] = out.get(w, 0) + coeff
-            return
-        if j == nv:
-            w = tuple(prefix) + u[i:]
-            out[w] = out.get(w, 0) + coeff
-            return
-        a = u[i]
-        b = v[j]
-        push(a)
-        rec(i + 1, j, coeff)
-        pop()
-        push(b)
-        rec(i, j + 1, coeff)
-        pop()
-        if lam:
-            c = bullet(a, b)
-            if c:
-                push(c)
-                rec(i + 1, j + 1, coeff * lam)
-                pop()
-
-    rec(0, 0, 1)
-    del rec  # rec refers to itself through its cell; free it without the gc
-    return LinComb.wrap({w: c for w, c in out.items() if c})
+    get = out.get
+    for i, j, prefix in [(0, 0, ())] if len(u) + len(v) <= TABLE_LENGTH else _walk(
+            u, v, lambda a, b: lam and bullet(a, b)):
+        whole, r, shape = u[i:] + v[j:], i + j - len(prefix), (len(u) - i, len(v) - j, bool(lam))
+        for merges, _, getter, length, k in _tables.get(shape) or _interleavings(*shape):
+            src = list(whole) if merges else whole
+            for p, q in merges:
+                src[p] = bullet(whole[p], whole[q])
+                if not src[p]:
+                    break
+            else:
+                c = lam ** (r + k) if r + k else 1
+                words = zip(*[iter(getter(src))] * length)
+                for w in map(prefix.__add__, words) if prefix else words:
+                    out[w] = get(w, 0) + c
+    return LinComb.wrap(out)
 
 
 def shifted_quasi_shuffle(sigma, tau, lam):
     """st(sigma * tau[m]) with m = len(sigma): the product on signed
-    permutations, which sigma and tau must be.  With lam = 0 this is the
-    shifted shuffle.
-
-    One recursion writes every term standardized.  A merge keeps sigma's
-    letter and drops tau's; tau[m] lies above sigma, so st fixes sigma's
-    letters and moves each kept letter of tau[m] towards zero by the number
-    of dropped letters below it.  The dropped set rides down as a bitmask
-    over absolute values; each one met builds, once per call, a table
-    indexed by the letter.  A word with no merge is standard and met once.
-    """
+    permutations, which sigma and tau must be; with lam = 0, the shifted
+    shuffle.  A merge keeps sigma's letter and drops tau's, and st moves each
+    kept letter of tau[m], all above sigma, towards zero by the dropped
+    letters below it: through one table per dropped set and call, indexed by
+    the letter.  A word with no merge is standard, and met once."""
+    if not sigma or not tau:
+        return LinComb.single(sigma + tau)
     m = len(sigma)
     v = shift(tau, m)
-    nv = len(v)
-    n = m + nv
+    n = m + len(v)
+    merging = bool(lam) and min(v) < 0  # the sign bullet merges negative letters only
     out = {}
+    get = out.get
     tables = {}
-
-    def rec(i, j, w, dropped, coeff):
-        if i == m or j == nv:
-            w += sigma[i:] + v[j:]
-            if not dropped:
-                out[w] = 1
-                return
-            table = tables.get(dropped)
-            if table is None:  # negative letters index it from the end
-                table = tables[dropped] = list(range(n + 1)) + list(range(-n, 0))
-                below = 0
-                for x in range(m + 1, n + 1):
-                    below += dropped >> x & 1  # a dropped letter's entry is never read
-                    table[x], table[-x] = x - below, below - x
-            w = tuple(map(table.__getitem__, w))
-            out[w] = out.get(w, 0) + coeff
-            return
-        a = sigma[i]
-        b = v[j]
-        rec(i + 1, j, w + (a,), dropped, coeff)
-        rec(i, j + 1, w + (b,), dropped, coeff)
-        if lam and a < 0 and b < 0:  # the sign bullet: keep a, drop b
-            rec(i + 1, j + 1, w + (a,), dropped | 1 << -b, coeff * lam)
-
-    rec(0, 0, (), 0, 1)
-    del rec  # rec refers to itself through its cell; free it without the gc
+    for i, j, prefix in [(0, 0, ())] if n <= TABLE_LENGTH else _walk(
+            sigma, v, lambda a, b: merging and a < 0 and b < 0 and a):
+        whole, r, shape = sigma[i:] + v[j:], i + j - len(prefix), (m - i, len(v) - j, merging)
+        dropped = r and sum(1 << -b for b in v[:j] if b not in prefix)
+        negative = merging and sum([1 << k for k, a in enumerate(whole) if a < 0])
+        for merges, mask, getter, length, k in _tables.get(shape) or _interleavings(*shape):
+            if mask & negative != mask:
+                continue
+            d = dropped
+            for _, x in merges:
+                d |= 1 << -whole[x]
+            if not d:
+                words = zip(*[iter(getter(whole))] * length)
+                out.update(dict.fromkeys(map(prefix.__add__, words) if prefix else words, 1))
+                continue
+            table = tables.get(d)
+            if table is None:  # negative letters index it from the end; no dropped one is read
+                kept = [x - (d & (2 << x) - 1).bit_count() for x in range(n + 1)]
+                table = tables[d] = kept + [-x for x in kept[:0:-1]]
+            relabel = table.__getitem__
+            c = lam ** (r + k)
+            words = zip(*[iter(getter(tuple(map(relabel, whole))))] * length)
+            for w in map(tuple(map(relabel, prefix)).__add__, words) if prefix else words:
+                out[w] = get(w, 0) + c
     return LinComb.wrap(out)
 
 

@@ -3,7 +3,9 @@
 These are the independent formulas the library's products and statistics
 are checked against: the canonical order on basis keys, the stuffle form
 of the quasi-shuffle product (a sum over pairs of order preserving
-injections), its right-sided recursion, the plain descent set of a signed
+injections), its right-sided recursion, the letter-by-letter recursions
+of the quasi-shuffle and of the shifted product that the tables of
+interleavings replaced, the plain descent set of a signed
 word, the multinomial counts of all-negative products, a second bullet
 for the quasi-shuffle laws, the shifted product with every term
 standardized, the coproduct of signed permutations with every leg
@@ -119,6 +121,85 @@ def stuffle(u, v, lam, bullet=sign_bullet):
             w = tuple(word)
             out[w] = out.get(w, 0) + weight
     return LinComb.wrap({w: c for w, c in out.items() if c})
+
+
+def quasi_shuffle_recursion(u, v, lam, bullet=sign_bullet):
+    """The quasi-shuffle product by its recursion, one letter per frame:
+    the reference for ``words.quasi_shuffle``, which reads its terms off
+    tables of interleavings.  Its terms come in depth-first order."""
+    out = {}
+    nu, nv = len(u), len(v)
+    prefix = []
+    push = prefix.append
+    pop = prefix.pop
+
+    def rec(i, j, coeff):
+        if i == nu:
+            w = tuple(prefix) + v[j:]
+            out[w] = out.get(w, 0) + coeff
+            return
+        if j == nv:
+            w = tuple(prefix) + u[i:]
+            out[w] = out.get(w, 0) + coeff
+            return
+        a = u[i]
+        b = v[j]
+        push(a)
+        rec(i + 1, j, coeff)
+        pop()
+        push(b)
+        rec(i, j + 1, coeff)
+        pop()
+        if lam:
+            c = bullet(a, b)
+            if c:
+                push(c)
+                rec(i + 1, j + 1, coeff * lam)
+                pop()
+
+    rec(0, 0, 1)
+    del rec  # rec refers to itself through its cell; free it without the gc
+    return LinComb.wrap({w: c for w, c in out.items() if c})
+
+
+def shifted_quasi_shuffle_recursion(sigma, tau, lam):
+    """st(sigma * tau[m]) by one recursion that relabels each merged word
+    through one table per dropped set: the reference for
+    ``words.shifted_quasi_shuffle``, which reads its terms off tables of
+    interleavings.  Its terms come in depth-first order."""
+    m = len(sigma)
+    v = shift(tau, m)
+    nv = len(v)
+    n = m + nv
+    out = {}
+    tables = {}
+
+    def rec(i, j, w, dropped, coeff):
+        if i == m or j == nv:
+            w += sigma[i:] + v[j:]
+            if not dropped:
+                out[w] = 1
+                return
+            table = tables.get(dropped)
+            if table is None:  # negative letters index it from the end
+                table = tables[dropped] = list(range(n + 1)) + list(range(-n, 0))
+                below = 0
+                for x in range(m + 1, n + 1):
+                    below += dropped >> x & 1  # a dropped letter's entry is never read
+                    table[x], table[-x] = x - below, below - x
+            w = tuple(map(table.__getitem__, w))
+            out[w] = out.get(w, 0) + coeff
+            return
+        a = sigma[i]
+        b = v[j]
+        rec(i + 1, j, w + (a,), dropped, coeff)
+        rec(i, j + 1, w + (b,), dropped, coeff)
+        if lam and a < 0 and b < 0:  # the sign bullet: keep a, drop b
+            rec(i + 1, j + 1, w + (a,), dropped | 1 << -b, coeff * lam)
+
+    rec(0, 0, (), 0, 1)
+    del rec  # rec refers to itself through its cell; free it without the gc
+    return LinComb.wrap(out)
 
 
 def shifted_quasi_shuffle_reference(sigma, tau, lam):

@@ -4,6 +4,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import math
@@ -353,6 +354,24 @@ def test_verify_refuses_options_the_suite_does_not_read(capsys, flags):
     code, out, err = run(capsys, "verify", *flags, "--max-degree", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and flags[2] in err
+
+
+@pytest.mark.parametrize("algebra, digest", [
+    ("ssym", "350fc4927124531c75282419e867ba23a753b09e43c905928a6f20e88b8b27ff"),
+    ("rqsym-m", "68694ebe5e482f96a3d911697aeb7c069820229da2fd9276e180f2981ff907c6"),
+    ("rqsym-f", "f71415c1705bf3a619aa20af4fb9ac305e9d6e2f98c6593a19c9e26bb08c4d89"),
+    ("qsym", "8d9977268d7c70f174752da6ed4807545920d2e9a7b450b0ebc01a88a2bbca80"),
+])
+def test_hopf_suite_refuses_a_weight_its_algebra_never_reads(capsys, algebra, digest):
+    """Only hsym reads --lambda: on any other algebra a weight but -1 exits
+    2 before any law runs, and -1 writes the report it always wrote (sha256
+    recorded before the refusal existed)."""
+    args = ("verify", "--suite", "hopf", "--algebra", algebra, "--max-degree", "2")
+    code, out, err = run(capsys, *args, "--lambda", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and algebra in err and "--lambda" in err
+    code, out, _ = run(capsys, *args, "--lambda", "-1")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_reads_weight_minus_one_as_the_default(capsys):

@@ -432,3 +432,17 @@ def test_integral_weight_keeps_int_coefficients():
         assert all(type(c) is int for c in coeffs)
     coeffs = list(context_by_name("hsym", Fraction(2, 3)).product(x, y).terms.values())
     assert Fraction(2, 3) in coeffs and any(type(c) is Fraction for c in coeffs)
+
+
+def test_basis_change_memos_stay_bounded():
+    """f_to_m_cached and m_to_f_cached outlive every context, so each is
+    bounded: after a seeded stream over more distinct keys than it may hold,
+    each holds at most its maxsize, and its values stay right."""
+    rng = random.Random(28)
+    pool = [alpha for w in range(9) for alpha in regularized_compositions(w)]
+    for alpha in (rng.choice(pool) for _ in range(4000)):
+        assert hopf.f_to_m_cached(alpha) == hopf.f_to_m(alpha)
+        assert hopf.m_to_f_cached(alpha) == hopf.m_to_f(alpha)
+    for memo in (hopf.f_to_m_cached, hopf.m_to_f_cached):
+        info = memo.cache_info()
+        assert info.misses > info.maxsize >= info.currsize

@@ -7,12 +7,16 @@ from math import comb
 
 import pytest
 
+from wqsym import words
+from wqsym.compositions import EPS, ntilde_add
 from wqsym.lincomb import LinComb
 from oracles import (
     descent_set,
     min_bullet,
     multinomial_collapse,
+    quasi_shuffle_recursion,
     right_quasi_shuffle_step,
+    shifted_quasi_shuffle_recursion,
     shifted_quasi_shuffle_reference,
     stuffle,
     stuffle_patterns,
@@ -269,6 +273,48 @@ def test_relabelled_product_matches_the_reference():
             got = shifted_quasi_shuffle(sigma, tau, lam).terms
             want = shifted_quasi_shuffle_reference(sigma, tau, lam).terms
             assert list(got.items()) == list(want.items()), (sigma, tau, lam)
+
+
+def _signed_permutation(rng, n):
+    return tuple(a if rng.random() < 0.5 else -a for a in rng.sample(range(1, n + 1), n))
+
+
+@pytest.mark.parametrize("lam", [-1, 0, 1, Fraction(2, 3)])
+def test_tables_match_the_letter_by_letter_recursions(lam):
+    """Both products against the recursions they replaced: quasi_shuffle
+    with the sign bullet on signed words and with ntilde_add on regularized
+    compositions, and the shifted product on signed permutations.  Every
+    pair of total length <= 5, and a seeded sample of total length 6-12,
+    past TABLE_LENGTH, where the walk takes letters before it reads a
+    table."""
+    rng = random.Random(29)
+    for bullet, alphabet in ((sign_bullet, (1, -1, 2, -2)), (ntilde_add, (1, 2, EPS))):
+        pairs = [(u, v) for total in range(6) for m in range(total + 1)
+                 for u in itertools.product(alphabet, repeat=m)
+                 for v in itertools.product(alphabet, repeat=total - m)]
+        pairs += [tuple(tuple(rng.choice(alphabet) for _ in range(n)) for n in (m, total - m))
+                  for total in range(6, 13) for m in rng.sample(range(total + 1), 4)]
+        for u, v in pairs:
+            assert quasi_shuffle(u, v, lam, bullet) == quasi_shuffle_recursion(u, v, lam, bullet)
+    perms = [list(signed_permutations(n)) for n in range(6)]
+    pairs = [(sigma, tau) for m in range(6) for n in range(6 - m)
+             for sigma in perms[m] for tau in perms[n]]
+    pairs += [(_signed_permutation(rng, m), _signed_permutation(rng, total - m))
+              for total in range(6, 13) for m in rng.sample(range(total + 1), 6)]
+    for sigma, tau in pairs:
+        got = shifted_quasi_shuffle(sigma, tau, lam)
+        assert got == shifted_quasi_shuffle_recursion(sigma, tau, lam), (sigma, tau)
+
+
+def test_no_table_is_built_past_the_bound(monkeypatch):
+    """Products of two 8-letter words take letters until the rest fits: every
+    table they build has m + n <= TABLE_LENGTH, and some reach it."""
+    monkeypatch.setattr(words, "_tables", {})
+    rng = random.Random(8)
+    shifted_quasi_shuffle(_signed_permutation(rng, 8), _signed_permutation(rng, 8), -1)
+    quasi_shuffle(*(tuple(rng.choice((1, -1, 2, -2)) for _ in range(8)) for _ in "uv"), 1)
+    shapes = [m + n for m, n, _ in words._tables]
+    assert shapes and max(shapes) == words.TABLE_LENGTH
 
 
 def test_shifted_product_associative():
