@@ -32,7 +32,17 @@ Antipodes come in two flavours.  Closed form for the composition side:
 Generic recursion for the permutation side, valid in any connected
 cograded bialgebra: S(unit) = unit and, for x of positive degree,
 S(x) = - sum c * S(a) * b over the coproduct terms c * (a @ b) of x with
-deg(a) < deg(x).
+deg(a) < deg(x).  Each level adds every product into one dict through the
+row's ``add_product``: on signed permutations the word kernel
+``add_shifted_product``, so no product becomes a ``LinComb`` or a memo
+entry; on compositions the memoized product, accumulated.  The zeros of a
+level are dropped once, when it is done.
+
+For lam != 0, w -> lam^|w| w is a Hopf isomorphism from HSym at weight lam
+to HSym at weight 1: merges are the only source of lam, each shortening a
+word by one letter, and the coproduct keeps the total length.  So a term of
+a product or antipode at lam is the weight-1 term times lam to the power of
+the letters lost, and the Hopf axioms at one nonzero weight hold at all.
 """
 from __future__ import annotations
 
@@ -57,6 +67,7 @@ from .compositions import (
     wcomp_preimage,
 )
 from .words import (
+    add_shifted_product,
     perm_to_text,
     positive_permutations,
     quasi_shuffle,
@@ -168,7 +179,7 @@ class HopfContext:
     unit = ()
 
     def __init__(self, name, letter, kind, excluded, product, coproduct, basis,
-                 antipode):
+                 antipode, add_product=None):
         self.name = name
         self.letter = letter
         self.degree, self.key_text, self._text_to_key = kind
@@ -177,6 +188,8 @@ class HopfContext:
         self.coproduct = functools.cache(coproduct)
         self.basis = basis
         self.closed_antipode = functools.cache(antipode) if antipode else None
+        if add_product:
+            self.add_product = add_product
         self._graded = {}
 
     def counit(self, key):
@@ -195,28 +208,27 @@ class HopfContext:
         closed = self.closed_antipode
         return closed(key) if closed else self.graded_antipode(key)
 
+    def add_product(self, out, a, b, scale):
+        """Add scale * product(a, b) into ``out``; a row's kernel replaces this."""
+        accumulate(out, self.product(a, b).terms.items(), scale)
+
     def graded_antipode(self, key):
         """The antipode of ``key`` by the generic recursion of the module
         docstring, whether or not a closed form exists, each value stored in
-        ``_graded`` and each product accumulated into one dict, as in ``lc_mul``."""
+        ``_graded``: every product is added into one dict by ``add_product``,
+        and the zeros are dropped once, at the end."""
         found = self._graded.get(key)
         if found is not None:
             return found
-        product, degree = self.product, self.degree
-        deg = degree(key)
-        if deg == 0:
-            out = LinComb.single(key)
-        else:
-            terms = {}
-            for (a, b), c in self.coproduct(key).terms.items():
-                if degree(a) < deg:
-                    for ka, ca in self.graded_antipode(a).terms.items():
-                        accumulate(terms, product(ka, b).terms.items(), -c * ca)
-                else:
-                    # connectedness: the only non-reduced term is key @ unit
-                    assert a == key and b == () and c == 1, (key, a, b, c)
-            out = LinComb.wrap(terms)
-        self._graded[key] = out
+        deg, terms = self.degree(key), {}
+        for (a, b), c in self.coproduct(key).terms.items() if deg else ():
+            if self.degree(a) < deg:
+                for ka, ca in self.graded_antipode(a).terms.items():
+                    self.add_product(terms, ka, b, -c * ca)
+            else:  # connectedness: the only non-reduced term is key @ unit
+                assert a == key and b == () and c == 1, (key, a, b, c)
+        out = self._graded[key] = LinComb.wrap({k: c for k, c in terms.items() if c}
+                                               if deg else {key: 1})
         return out
 
 
@@ -230,11 +242,13 @@ def context_by_name(name, lam=-1):
     lam = lam.numerator if lam.denominator == 1 else lam  # an integral weight stays int
     table = {
         # name: basis letter, key kind, entries the keys exclude, product,
-        #       coproduct, basis of a degree, closed-form antipode
+        #       coproduct, basis of a degree, closed-form antipode, add_product
         "hsym": ("P", WORDS, None, lambda a, b: shifted_quasi_shuffle(a, b, lam),
-                 standard_splits, lambda n: list(signed_permutations(n)), None),
+                 standard_splits, lambda n: list(signed_permutations(n)), None,
+                 lambda out, a, b, c: add_shifted_product(out, a, b, lam, c)),
         "ssym": ("P", WORDS, "negative letters", shifted_shuffle, standard_splits,
-                 lambda n: list(positive_permutations(n)), None),
+                 lambda n: list(positive_permutations(n)), None,
+                 lambda out, a, b, c: add_shifted_product(out, a, b, 0, c)),
         "rqsym-m": ("M", COMPOSITIONS, None, star_product, deconcatenation,
                     regularized_compositions, rqsym_antipode_m),
         "rqsym-f": ("F", COMPOSITIONS, None, rqsym_product_f, rqsym_coproduct_f,

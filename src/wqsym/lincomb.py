@@ -14,6 +14,10 @@ one accumulator, ``accumulate``, which adds scaled terms into a dict and
 drops a key the moment its coefficient sums to zero.  A bilinear kernel
 feeds it one stream of terms, ``LinComb(<generator>)`` or, in ``lc_mul``,
 each product's own terms: never a combination built per pair of terms.
+One sum bypasses it: the graded antipode on signed permutations
+(``HopfContext.graded_antipode``) has the word kernel
+``words.add_shifted_product`` add each product into the dict of its level,
+and drops that level's zeros once, when it is done.
 """
 from __future__ import annotations
 

@@ -493,6 +493,33 @@ def expansion_size(alpha, k, basis, cap):
     return _binomial(k - strict + n - 1, n, cap)
 
 
+def walk_size(poset, k, cap):
+    """An upper bound on the packed P-partitions that ``gamma`` walks in k
+    variables, counted without walking, or cap + 1 if it is more than cap.
+    Each is a P-partition into [l], l = min(k, |P|), so along each chain of
+    a cover of P by chains it increases weakly, and strictly at each strict
+    step: a chain of c labels with s strict steps takes at most
+    C(l - s + c - 1, c) maps, as in ``expansion_size``, and the product
+    over the chains bounds the walk.  The cover by single labels gives the
+    l^|P| maps into [l], enough for a small poset; past the cap, chains are
+    grown along ``poset.order``, each label extending a chain that ends at
+    one of its lower covers if there is one."""
+    l, n = min(k, len(poset)), len(poset)
+    if l < 2 or n <= 64 and l ** n <= cap:
+        return l ** n
+    ends = {}  # position of the last label of a chain -> (its labels, its strict steps)
+    for p, covers in enumerate(_lower_covers(poset)):
+        q, strict = next(((q, strict) for q, strict in covers if q in ends), (None, 0))
+        c, s = ends.pop(q, (0, 0))
+        ends[p] = (c + 1, s + strict)
+    out = 1
+    for c, s in ends.values():
+        out *= _binomial(l - s + c - 1, c, cap)
+        if out > cap:
+            return cap + 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # randomized posets and the generating-function verification suite
 

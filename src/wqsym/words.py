@@ -23,11 +23,13 @@ in the order the recursion first meets them, each group read by one
 Tables grow as the Delannoy numbers and cost a few products each to build,
 so only m + n <= TABLE_LENGTH, a bound measured to cover the products of
 degree-6 antipodes, gets one; a longer pair takes first letters by the
-recursion until the rest fits.  ``shifted_quasi_shuffle`` relabels merged
-words of signed permutations, never calling ``standardize``.
+recursion until the rest fits.  ``add_shifted_product``, the one kernel of
+the product of signed permutations, relabels merged words, never calling
+``standardize``, and adds into a dict its caller owns.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -135,19 +137,34 @@ def quasi_shuffle(u, v, lam, bullet=sign_bullet):
 def shifted_quasi_shuffle(sigma, tau, lam):
     """st(sigma * tau[m]) with m = len(sigma): the product on signed
     permutations, which sigma and tau must be; with lam = 0, the shifted
-    shuffle.  A merge keeps sigma's letter and drops tau's, and st moves each
-    kept letter of tau[m], all above sigma, towards zero by the dropped
-    letters below it: through one table per dropped set and call, indexed by
-    the letter.  A word with no merge is standard, and met once."""
+    shuffle.  Added by ``add_shifted_product`` into a fresh dict."""
+    return LinComb.wrap(add_shifted_product({}, sigma, tau, lam))
+
+
+@functools.lru_cache(maxsize=1024)  # bounded: one table per (length, dropped set)
+def _relabel(n, dropped):
+    """st of the kept letters of a word of length n, indexed by the letter,
+    negative ones from the end: each moved towards zero by the letters of
+    the bit set ``dropped`` below it.  No dropped letter is read."""
+    kept = [x - (dropped & (2 << x) - 1).bit_count() for x in range(n + 1)]
+    return (kept + [-x for x in kept[:0:-1]]).__getitem__
+
+
+def add_shifted_product(out, sigma, tau, lam, scale=1):
+    """Add scale * st(sigma * tau[m]) into the dict ``out``, which may be
+    left with zeros, and return it.  A merge keeps sigma's letter and drops
+    tau's, and st moves each kept letter of tau[m], all above sigma, towards
+    zero by the dropped letters below it, through ``_relabel``.  A word met
+    twice has as many merges, its length tells, so the same coefficient: a
+    fresh dict gets no zero."""
+    get = out.get
     if not sigma or not tau:
-        return LinComb.single(sigma + tau)
+        out[sigma + tau] = get(sigma + tau, 0) + scale
+        return out
     m = len(sigma)
     v = shift(tau, m)
     n = m + len(v)
     merging = bool(lam) and min(v) < 0  # the sign bullet merges negative letters only
-    out = {}
-    get = out.get
-    tables = {}
     for i, j, prefix in [(0, 0, ())] if n <= TABLE_LENGTH else _walk(
             sigma, v, lambda a, b: merging and a < 0 and b < 0 and a):
         whole, r, shape = sigma[i:] + v[j:], i + j - len(prefix), (m - i, len(v) - j, merging)
@@ -159,20 +176,15 @@ def shifted_quasi_shuffle(sigma, tau, lam):
             d = dropped
             for _, x in merges:
                 d |= 1 << -whole[x]
-            if not d:
-                words = zip(*[iter(getter(whole))] * length)
-                out.update(dict.fromkeys(map(prefix.__add__, words) if prefix else words, 1))
-                continue
-            table = tables.get(d)
-            if table is None:  # negative letters index it from the end; no dropped one is read
-                kept = [x - (d & (2 << x) - 1).bit_count() for x in range(n + 1)]
-                table = tables[d] = kept + [-x for x in kept[:0:-1]]
-            relabel = table.__getitem__
-            c = lam ** (r + k)
-            words = zip(*[iter(getter(tuple(map(relabel, whole))))] * length)
-            for w in map(tuple(map(relabel, prefix)).__add__, words) if prefix else words:
+            c, head, src = scale, prefix, whole
+            if d:
+                relabel = _relabel(n, d)
+                c, head = scale * lam ** (r + k), tuple(map(relabel, prefix))
+                src = tuple(map(relabel, whole))
+            words = zip(*[iter(getter(src))] * length)
+            for w in map(head.__add__, words) if head else words:
                 out[w] = get(w, 0) + c
-    return LinComb.wrap(out)
+    return out
 
 
 def shifted_shuffle(sigma, tau):

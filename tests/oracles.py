@@ -9,8 +9,8 @@ interleavings replaced, the plain descent set of a signed
 word, the multinomial counts of all-negative products, a second bullet
 for the quasi-shuffle laws, the shifted product with every term
 standardized, the coproduct of signed permutations with every leg
-standardized from scratch, the product of fundamentals through the
-monomial basis, the Aguiar-Bergeron-Sottile map Psi_zeta into QSym, the
+standardized from scratch, the graded antipode over memoized products,
+the product of fundamentals through the monomial basis, the Aguiar-Bergeron-Sottile map Psi_zeta into QSym, the
 series 1, the coordinatewise product of truncated series, the monomial
 functions in k variables, and the statistics, descent set, refinement
 order and concatenations of compositions.
@@ -214,6 +214,26 @@ def standardized_deconcatenation(word):
     standardized on its own: the reference for ``hopf.standard_splits``."""
     return LinComb((((standardize(word[:p]), standardize(word[p:])), 1)
                     for p in range(len(word) + 1)))
+
+
+def graded_antipode_reference(ctx, key, memo=None):
+    """The antipode of ``key`` by the generic recursion, each product a
+    ``LinComb`` from the context's product memo, accumulated into one dict
+    that stays zero-free, and ``memo`` holding the values: the reference for
+    ``HopfContext.graded_antipode``, which adds each product into its
+    level's dict through ``add_product`` and drops zeros once per level."""
+    memo = {} if memo is None else memo
+    found = memo.get(key)
+    if found is not None:
+        return found
+    deg = ctx.degree(key)
+    terms = {} if deg else {key: 1}
+    for (a, b), c in ctx.coproduct(key).terms.items():
+        if ctx.degree(a) < deg:
+            for ka, ca in graded_antipode_reference(ctx, a, memo).terms.items():
+                accumulate(terms, ctx.product(ka, b).terms.items(), -c * ca)
+    out = memo[key] = LinComb.wrap(terms)
+    return out
 
 
 def right_quasi_shuffle_step(wc, vd, lam, bullet=sign_bullet):

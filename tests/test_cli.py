@@ -192,6 +192,98 @@ def test_gamma_refuses_an_oversized_request(tmp_path, capsys, monkeypatch):
     assert err == "error: gamma would write more than 100000 entries\n"
 
 
+def test_gamma_bounds_the_walk_before_walking(tmp_path, capsys, monkeypatch):
+    """Checked by the estimate alone: an antichain of 20 labels in 3
+    variables bounds its walk by 3^20 and exits 2 before any packed
+    P-partition is walked; one of 12 labels, 3^12, is admitted."""
+    def never(poset, cap):
+        raise AssertionError("the oversized walk ran")
+
+    monkeypatch.setattr(ppartitions, "_exponent_counts", never)
+    text = lambda n: "\n".join(["1"] + [str(-i) for i in range(2, n + 1)]) + "\n"
+    antichain = lambda n: ppartitions.parse_poset(text(n))
+    poset = tmp_path / "antichain.poset"
+    poset.write_text(text(20))
+    code, out, err = run(capsys, "gamma", "--poset", str(poset), "--vars", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: gamma would walk more than 1000000 packed P-partitions\n"
+    assert ppartitions.walk_size(antichain(20), 3, math.inf) == 3**20
+    assert ppartitions.walk_size(antichain(12), 3, math.inf) == 3**12 <= cli.GAMMA_MAX_WALK
+
+
+def test_walk_size_bounds_the_packed_walk():
+    """On random posets, chains and antichains, the bound is at least the
+    packed P-partitions with at most min(k, |P|) values, both the l^|P| maps
+    and, with a cap below them, the chain cover; on a chain of 3000 labels
+    in 2 variables the cover gives the 3001 maps into [2]."""
+    rng = random.Random(30)
+    posets = [ppartitions.random_poset(rng, 7) for _ in range(150)]
+    posets += [ppartitions.chain_poset(w) for w in [(1, -2, 3), (-1, -2, -3, 4), (3, 2, 1, -4)]]
+    posets += [ppartitions.Poset(w) for w in [(1, -2, 3), (-1, -2, -3, 4)]]
+    for poset in posets:
+        for k in (1, 2, 3, 5):
+            l = min(k, len(poset))
+            walked = sum(ppartitions._exponent_counts(poset, l).values())
+            assert walked <= ppartitions.walk_size(poset, k, math.inf) == l ** len(poset)
+            assert walked <= ppartitions.walk_size(poset, k, l ** len(poset) - 1), (poset, k)
+    chain = ppartitions.chain_poset(tuple(range(1, 3001)))
+    assert ppartitions.walk_size(chain, 2, 10**6) == 3001
+
+
+def output_size(algebra, lam, *texts):
+    ctx = context_by_name(algebra, lam)
+    merging = algebra != "ssym" and bool(Fraction(lam) or algebra != "hsym")
+    size = len if algebra in ("rqsym-m", "qsym") else ctx.degree
+    return cli._output_size(algebra, merging, tuple(sorted(size(ctx.parse_key(t)) for t in texts)))
+
+
+@pytest.mark.parametrize("argv", [
+    ("product", "--algebra", "hsym", "-1,-2,-3,-4,-5,-6,-7,-8,-9,-10", "-1,-2,-3,-4,-5,-6,-7,-8,-9,-10"),
+    ("product", "--algebra", "ssym", ",".join(map(str, range(1, 14))), "1,2,3,4,5,6,7,8,9,10,11,12,13"),
+    ("product", "--algebra", "rqsym-m", ",".join(["1"] * 12), ",".join(["e"] * 12)),
+    ("antipode", "--algebra", "hsym", "1,-2,3,-4,5,-6,7,-8,-9"),
+    ("antipode", "--algebra", "ssym", "1,2,3,4,5,6,7,8,9,10,11"),
+    ("antipode", "--algebra", "rqsym-m", ",".join(["1"] * 30)),
+    ("antipode", "--algebra", "rqsym-f", "17"),
+])
+def test_product_and_antipode_refuse_an_oversized_request(capsys, monkeypatch, argv):
+    """Checked by the estimate alone: each exits 2 before the context
+    computes anything."""
+    def never(*args):
+        raise AssertionError("the oversized operation ran")
+
+    def context(*args):
+        ctx = context_by_name(*args)
+        ctx.product = ctx.antipode = ctx.graded_antipode = ctx.closed_antipode = never
+        return ctx
+
+    monkeypatch.setattr(cli.hopf, "context_by_name", context)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} would write more than 100000000 entries\n"
+
+
+def test_output_size_calibration_and_bound():
+    """hsym -1,...,-9 times itself, 4.4 s at n = 9, is admitted and n = 10
+    refused; the bound is at least the entries written, on every antipode
+    and a seeded sample of products of degree <= 4 in every algebra."""
+    limit = cli.OPERATION_MAX_ENTRIES
+    neg = lambda n: ",".join(str(-i) for i in range(1, n + 1))
+    assert output_size("hsym", "-1", neg(9), neg(9)) <= limit < output_size(
+        "hsym", "-1", neg(10), neg(10))
+    rng = random.Random(30)
+    for algebra in ALGEBRAS:
+        for lam in ("-1", "0", "2/3") if algebra == "hsym" else ("-1",):
+            ctx = context_by_name(algebra, lam)
+            size = len if algebra in ("rqsym-m", "qsym") else ctx.degree  # parts of an M key
+            keys = [x for d in range(5) for x in ctx.basis(d)]
+            for x in keys:
+                assert len(ctx.antipode(x)) * size(x) <= output_size(algebra, lam, ctx.key_text(x))
+            for x, y in ((rng.choice(keys), rng.choice(keys)) for _ in range(60)):
+                assert len(ctx.product(x, y)) * (size(x) + size(y)) <= output_size(
+                    algebra, lam, ctx.key_text(x), ctx.key_text(y)), (x, y)
+
+
 def test_gamma_on_deep_and_cyclic_posets(tmp_path, capsys):
     chain = tmp_path / "chain.poset"
     chain.write_text("".join(f"{i} < {i + 1}\n" for i in range(1, 3000)))

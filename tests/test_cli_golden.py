@@ -19,6 +19,7 @@ on Python 3.10 to 3.13.  The invalid-choice error is not pinned, since
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -85,6 +86,23 @@ CASES["gamma-chain-6-vars"] = ("gamma", "--poset", os.path.join(POSETS, "chain.p
 
 FORMATS = {"json": "json", "text": "txt"}
 
+# degree-6 antipodes of the queries tail, too large for a golden file: the
+# sha256 of their JSON output, written by the recursion that accumulated
+# memoized LinComb products before products were added into each level's
+# dict; CI checks the same digests on the command line
+HEAVY_ANTIPODES = {
+    ("hsym", "-1", "-5,-4,3,-1,-2,-6"):
+        "0bb01240928eb87a2122cbff19417be6098abbd695502372adc7f251bd2a18e1",
+    ("hsym", "1", "5,-2,6,-4,1,3"):
+        "e963588c5d882e32c3637be7fe000d9bc81fc53468b7292fdf340f82c41c96d1",
+    ("hsym", "2/3", "2,5,-4,-6,-3,1"):
+        "511c739f962ad47e255b9ba3aa037181ed32d76eab15335bcfe7f848e80e6305",
+    ("hsym", "0", "-3,-5,-6,1,2,4"):
+        "16f5603fcd4eb3b7e1d2e1437f5dc695d7321aca30594f437366b8cf650af2b1",
+    ("ssym", "-1", "1,5,3,6,2,4"):
+        "751367c4f80a5452504fa7cdcc65e4b7d225b9be22980d1a5d176eaba289538e",
+}
+
 HELP = os.path.join(HERE, "golden", "help")
 # case: (argv, exit code); help goes to stdout with 0, an error to stderr with 2
 HELP_CASES = {"wqsym": (("-h",), 0)}
@@ -109,6 +127,13 @@ def test_cli_matches_golden(case, fmt):
     assert code == 0
     with open(os.path.join(GOLDEN, f"{case}.{FORMATS[fmt]}")) as fh:
         assert out == fh.read()
+
+
+def test_heavy_antipodes_match_their_digests():
+    for (algebra, lam, x), digest in HEAVY_ANTIPODES.items():
+        code, out = run_case(("antipode", "--algebra", algebra, "--lambda", lam, x), "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (algebra, lam, x)
 
 
 def run_help(argv):

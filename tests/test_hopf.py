@@ -34,8 +34,18 @@ from wqsym.hopf import (
     standard_splits,
     verify_hopf,
 )
-from wqsym.words import shifted_quasi_shuffle, signed_permutations
-from oracles import rqsym_product_f_via_m, standardized_deconcatenation, weight
+from wqsym.words import (
+    add_shifted_product,
+    positive_permutations,
+    shifted_quasi_shuffle,
+    signed_permutations,
+)
+from oracles import (
+    graded_antipode_reference,
+    rqsym_product_f_via_m,
+    standardized_deconcatenation,
+    weight,
+)
 
 
 def test_coproduct_of_1324():
@@ -421,6 +431,67 @@ def test_graded_antipode_reads_the_coproduct_at_call_time():
     x = (2, -1, 3)
     assert ctx.antipode(x) == context_by_name("hsym", -1).antipode(x)
     assert len(set(seen)) > 1 and seen[0] == x
+
+
+def antipode_mismatches(name, lam, keys, ctx=None):
+    """The keys on which the graded antipode of ``ctx`` (by default a fresh
+    context of the row) differs from the reference on another one."""
+    ctx = ctx or context_by_name(name, lam)
+    ref, memo = context_by_name(name, lam), {}
+    return [x for x in keys if ctx.graded_antipode(x) != graded_antipode_reference(ref, x, memo)]
+
+
+@pytest.mark.parametrize("lam", [-1, 0, 1, Fraction(2, 3)])
+def test_graded_antipode_matches_the_reference_on_hsym(lam):
+    """Every signed permutation of degree <= 5."""
+    keys = [x for n in range(6) for x in signed_permutations(n)]
+    assert len(keys) == 4283
+    assert antipode_mismatches("hsym", lam, keys) == []
+
+
+def test_graded_antipode_matches_the_reference_on_ssym_and_a_sample():
+    """Every permutation of degree <= 6, and a seeded sample of degrees 6
+    and 7 at each weight the queries use."""
+    keys = [x for n in range(7) for x in positive_permutations(n)]
+    assert antipode_mismatches("ssym", -1, keys) == []
+    rng = random.Random(30)
+    for lam in (-1, 0, 1, Fraction(2, 3)):
+        keys = [tuple(a if rng.random() < 0.5 else -a for a in rng.sample(range(1, n + 1), n))
+                for n in (6, 6, 7)]
+        assert antipode_mismatches("hsym", lam, keys) == [], lam
+    keys = [tuple(rng.sample(range(1, 8), 7)) for _ in range(3)]
+    assert antipode_mismatches("ssym", -1, keys) == []
+
+
+def test_a_mutant_antipode_fails_the_reference():
+    """A kernel that drops the scale of each product is caught."""
+    keys = [x for n in range(4) for x in signed_permutations(n)]
+    ctx = context_by_name("hsym", -1)
+    ctx.add_product = lambda out, a, b, c: add_shifted_product(out, a, b, -1)
+    assert antipode_mismatches("hsym", -1, keys, ctx)
+
+
+@pytest.mark.parametrize("lam", [Fraction(2, 3), -1, 3, Fraction(-5, 7)])
+def test_weight_scaling_is_a_hopf_isomorphism(lam):
+    """w -> lam^|w| w takes HSym at weight lam to HSym at weight 1, so each
+    term w of a product or antipode at lam is the weight-1 term times lam to
+    the power of the letters lost: on every product of lengths <= 3 and <= 2,
+    and every antipode of degree 1 to 4."""
+    ctx, one = context_by_name("hsym", lam), context_by_name("hsym", 1)
+    lefts, rights = ([x for n in range(top + 1) for x in signed_permutations(n)]
+                     for top in (3, 2))
+    checked = 0
+    for x in lefts:
+        for y in rights:
+            want = {w: c * lam ** (len(x) + len(y) - len(w))
+                    for w, c in one.product(x, y).terms.items()}
+            assert ctx.product(x, y).terms == want, (x, y)
+            checked += 1
+    for x in (x for n in range(1, 5) for x in signed_permutations(n)):
+        want = {w: c * lam ** (len(x) - len(w)) for w, c in one.antipode(x).terms.items()}
+        assert ctx.antipode(x).terms == want, x
+        checked += 1
+    assert checked == 649 + 442
 
 
 def test_integral_weight_keeps_int_coefficients():
