@@ -5,14 +5,16 @@ verify.  Signed permutations are written as comma separated signed
 integers ('id' for the empty one), regularized compositions use 'e' for
 epsilon ('empty' for the empty one), and rationals as 'p/q'.  Output is
 JSON by default, '--format text' for a human rendering.  Each command is
-declared once, in ``COMMANDS``: ``build_parser`` builds argparse from it,
-and a plain command line (exact option strings, one value each, the
-elements in one run) is read in one pass over it, with no parser built.
+declared once, in ``COMMANDS``, with its work bound and that bound's
+limit, which ``main`` applies before the command's handler runs.
+``build_parser`` builds argparse from the table, and a plain line (see
+``_read_plain``) is read in one pass over it, with no parser built.
 argparse reads any other line and writes every help and error: the
 command's parser for a known command, the top-level parser otherwise.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
-2 on malformed input or when the output cannot be written.
+2 on malformed input, on a request past its command's work bound, or when
+the output cannot be written.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import sys
 from fractions import Fraction
 from math import comb, factorial
 
-from .compositions import text_to_comp, total_weight
+from .compositions import EPS, eps_runs, text_to_comp, total_weight
 from .laws import merge_reports, report_to_json
 from .lincomb import lincomb_to_text, sorted_keys
 from . import hopf, morphisms, ppartitions
@@ -75,18 +77,15 @@ def _listing(lc, key_text=None, tensor=False):
 
 
 def _emit(lc, ctx, fmt, tensor=False):
-    """Print a combination of basis keys of ``ctx``, or of pairs of them
-    when ``tensor`` is set."""
-    if fmt == "text":
-        one = lambda k: f"{ctx.letter}[{ctx.key_text(k)}]"
-        encode = (lambda kk: "(x)".join(map(one, kk))) if tensor else one
-        print(lincomb_to_text(lc, encode))
+    """Print a combination of basis keys of ``ctx``, of pairs of them when
+    ``tensor`` is set, or with no ``ctx`` a series."""
+    if fmt == "json":
+        print(_listing(lc, ctx and ctx.key_text, tensor))
+    elif ctx is None:
+        print(lc.to_text())
     else:
-        print(_listing(lc, ctx.key_text, tensor))
-
-
-def _emit_series(series, fmt):
-    print(series.to_text() if fmt == "text" else _listing(series))
+        one = lambda k: f"{ctx.letter}[{ctx.key_text(k)}]"
+        print(lincomb_to_text(lc, (lambda kk: "(x)".join(map(one, kk))) if tensor else one))
 
 
 def _at_least(value, low, flag):
@@ -102,12 +101,20 @@ def _parse_lambda(text):
         raise CLIError(f"bad rational {text!r}") from None
 
 
-# the most entries a product or an antipode may write, letters or parts of
-# each term, as bounded by ``_output_size`` before any work: hsym products
-# of -1,...,-n with themselves walk 1,462,563 words of at most 18 letters in
-# 4.4 s and 77 MB at n = 9, and about four times as many per letter more,
-# so n = 9 passes and n = 10 is refused
+# The limits of the bounds in ``COMMANDS``: one per command, as the cost of
+# an entry written differs by command, each set by a request at its cut.
+# product and antipode: hsym -1,...,-9 times itself walks 1,462,563 words of
+# at most 18 letters in 4.4 s and 77 MB, and -1,...,-10 is refused
 OPERATION_MAX_ENTRIES = 10**8
+# coproduct: rqsym-f of the part 99,999 takes 0.54 s and 74 MB, of 10^5 is refused
+COPRODUCT_MAX_ENTRIES = 2 * 10**5
+# convert: F -> M of the part 18 takes 0.80 s and 97 MB, of 19 is refused
+CONVERT_MAX_ENTRIES = 3 * 10**6
+# expand, and gamma once it has walked, its count then exact
+EXPAND_MAX_TERMS = 10**5
+# the packed P-partitions gamma walks: 3^12 = 531,441 for an antichain of 12
+# labels in 3 variables take 0.56 s
+GAMMA_MAX_WALK = 10**6
 
 
 @functools.lru_cache(maxsize=256)  # few shapes of request recur; each bound costs microseconds
@@ -143,31 +150,66 @@ def _output_size(algebra, merging, sizes):
     return d * terms
 
 
-def cmd_operation(args):
-    """product, coproduct or antipode of basis keys, by the command's name."""
+def _operation_size(args, limit):
+    """product and antipode: ``_output_size``.  coproduct: its size + 1
+    terms, len + 1 deconcatenations and in rqsym-f weight - len near
+    splits, of at most len + 1 letters or parts each."""
     lam = _parse_lambda(args.lam)
     ctx = hopf.context_by_name(args.algebra, lam)
     keys = [ctx.parse_key(text) for text in args.elements]
-    if args.command != "coproduct":
-        merging = args.algebra != "ssym" and bool(lam or args.algebra != "hsym")
-        size = len if args.algebra in ("rqsym-m", "qsym") else ctx.degree
-        if _output_size(args.algebra, merging, tuple(sorted(map(size, keys)))) > \
-                OPERATION_MAX_ENTRIES:
-            raise CLIError(f"{args.command} would write more than {OPERATION_MAX_ENTRIES} entries")
-    _emit(getattr(ctx, args.command)(*keys), ctx, args.format,
-          tensor=args.command == "coproduct")
-    return 0
+    args.work = getattr(ctx, args.command), keys, ctx
+    size = len if args.algebra in ("rqsym-m", "qsym") else ctx.degree
+    if args.command == "coproduct":
+        return (size(keys[0]) + 1) * (len(keys[0]) + 1)
+    merging = bool(lam) if args.algebra == "hsym" else args.algebra != "ssym"
+    return _output_size(args.algebra, merging, tuple(sorted(map(size, keys))))
 
 
-def cmd_convert(args):
+def _convert_size(args, limit):
+    """convert: the refinements that ``refinement_terms`` lists, the product
+    of its block sizes, (i + 1) 2^(s - 1) for a run of i epsilons and the
+    part s after it and max(i, 1) for the last run, held just past the limit
+    once it passes it, times the weight, the most parts of a refinement."""
     if {args.frm, args.to} != {"f", "m"}:
         raise CLIError("convert needs --from f --to m or --from m --to f")
     # rqsym-f and rqsym-m read the same composition keys, so the target's
     # context parses the input too
     ctx = hopf.context_by_name(f"rqsym-{args.to}")
     key = ctx.parse_key(args.elements[0])
-    lc = hopf.f_to_m_cached(key) if args.frm == "f" else hopf.m_to_f_cached(key)
-    _emit(lc, ctx, args.format)
+    args.work = hopf.f_to_m_cached if args.frm == "f" else hopf.m_to_f_cached, [key], ctx
+    runs, parts = eps_runs(key)
+    terms = max(runs.pop(), 1) << min(sum(parts) - len(parts), limit.bit_length())
+    for i in runs:
+        terms = min(terms * (i + 1), limit + 1)
+    return terms * total_weight(key)
+
+
+def _walk_size(args, limit):
+    """gamma: ``ppartitions.walk_size`` of the poset in k variables."""
+    try:
+        with open(args.poset) as fh:
+            poset = ppartitions.parse_poset(fh.read())
+    except OSError as exc:
+        raise CLIError(f"cannot read poset file: {exc}") from None
+    k = _at_least(args.vars, 1, "--vars")
+    args.work = ppartitions.gamma, (poset, k, EXPAND_MAX_TERMS), None
+    return ppartitions.walk_size(poset, k, limit)
+
+
+def _expand_size(args, limit):
+    """expand: k exponents, and for F the letters of the chain, per term or
+    P-partition that ``ppartitions.expansion_size`` counts, no word built."""
+    alpha, k = text_to_comp(args.elements[0]), _at_least(args.vars, 1, "--vars")
+    args.work = getattr(ppartitions, f"expand_{args.basis}"), (alpha, k), None
+    width = k + (total_weight(alpha) if args.basis == "f" else 0)
+    return width if width > limit else width * ppartitions.expansion_size(
+        alpha, k, args.basis, limit // width)
+
+
+def cmd_work(args):
+    """Print the work that the command's bound read, (fn, operands, ctx)."""
+    fn, operands, ctx = args.work
+    _emit(fn(*operands), ctx, args.format, tensor=args.command == "coproduct")
     return 0
 
 
@@ -186,44 +228,6 @@ def cmd_map(args):
     source, fn, target = MAPS[args.which]
     key = hopf.context_by_name(source).parse_key(args.elements[0])
     _emit(getattr(morphisms, fn)(key), hopf.context_by_name(target), args.format)
-    return 0
-
-
-# the most entries ``gamma`` and ``expand`` write, since their time and
-# memory grow with the count: k exponents per term, and for expand F also
-# the letters of the chain, built once and placed once per packed
-# P-partition walked; the chain's P-partitions bound both counts.  A larger
-# request exits 2 before any term is placed: for expand, decided from alpha
-# and k alone; for gamma, exactly, from the packed counts it walks anyway
-EXPAND_MAX_TERMS = 10**5
-# the most packed P-partitions ``gamma`` may walk before it places any, as
-# bounded by ``ppartitions.walk_size`` from the chains of P and min(k, |P|):
-# an antichain of 12 labels in 3 variables (3^12 = 531,441) takes 0.56 s
-GAMMA_MAX_WALK = 10**6
-
-
-def cmd_gamma(args):
-    try:
-        with open(args.poset) as fh:
-            poset = ppartitions.parse_poset(fh.read())
-    except OSError as exc:
-        raise CLIError(f"cannot read poset file: {exc}") from None
-    k = _at_least(args.vars, 1, "--vars")
-    if ppartitions.walk_size(poset, k, GAMMA_MAX_WALK) > GAMMA_MAX_WALK:
-        raise CLIError(f"gamma would walk more than {GAMMA_MAX_WALK} packed P-partitions")
-    _emit_series(ppartitions.gamma(poset, k, EXPAND_MAX_TERMS), args.format)
-    return 0
-
-
-def cmd_expand(args):
-    alpha = text_to_comp(args.elements[0])
-    k = _at_least(args.vars, 1, "--vars")
-    width = k + (total_weight(alpha) if args.basis == "f" else 0)
-    if (width > EXPAND_MAX_TERMS or width * ppartitions.expansion_size(
-            alpha, k, args.basis, EXPAND_MAX_TERMS // width) > EXPAND_MAX_TERMS):
-        raise CLIError(f"expand would write more than {EXPAND_MAX_TERMS} entries")
-    fn = ppartitions.expand_m if args.basis == "m" else ppartitions.expand_f
-    _emit_series(fn(alpha, k), args.format)
     return 0
 
 
@@ -310,23 +314,35 @@ _OPERATION = {"--algebra": dict(required=True, choices=hopf.ALGEBRAS),
                                help="quasi-shuffle weight for hsym (default -1)"),
               **_FORMAT}
 
-# name: (help, options, number of elements, handler)
+# name: (help, options, number of elements, handler, bound).  A bound is
+# (estimate, limit, refusal): estimate(args, limit) reads the request, with
+# the checks on its operands, into ``args.work`` for ``cmd_work``, and
+# counts that work without doing it, or returns any number above the limit
+# once the count passes it; ``main`` refuses a count past the limit with
+# exit 2 and "error: <name> would <refusal % limit>".  map writes at most
+# its input, and verify runs the budget asked for
+_WRITE = "write more than %d entries"
 COMMANDS = {
-    "product": ("multiply two basis elements", _OPERATION, 2, cmd_operation),
-    "coproduct": ("coproduct of a basis element", _OPERATION, 1, cmd_operation),
-    "antipode": ("antipode of a basis element", _OPERATION, 1, cmd_operation),
+    "product": ("multiply two basis elements", _OPERATION, 2, cmd_work,
+                (_operation_size, OPERATION_MAX_ENTRIES, _WRITE)),
+    "coproduct": ("coproduct of a basis element", _OPERATION, 1, cmd_work,
+                  (_operation_size, COPRODUCT_MAX_ENTRIES, _WRITE)),
+    "antipode": ("antipode of a basis element", _OPERATION, 1, cmd_work,
+                 (_operation_size, OPERATION_MAX_ENTRIES, _WRITE)),
     "convert": ("change basis between F and M",
                 {"--from": dict(dest="frm", required=True, choices=("f", "m")),
                  "--to": dict(required=True, choices=("f", "m")), **_FORMAT},
-                1, cmd_convert),
+                1, cmd_work, (_convert_size, CONVERT_MAX_ENTRIES, _WRITE)),
     "map": ("apply one of the four surjections",
-            {"--which": dict(required=True, choices=tuple(MAPS)), **_FORMAT}, 1, cmd_map),
+            {"--which": dict(required=True, choices=tuple(MAPS)), **_FORMAT}, 1, cmd_map, None),
     "gamma": ("generating function of a poset file",
               {"--poset": dict(required=True), "--vars": dict(type=int, required=True),
-               **_FORMAT}, 0, cmd_gamma),
+               **_FORMAT}, 0, cmd_work,
+              (_walk_size, GAMMA_MAX_WALK, "walk more than %d packed P-partitions")),
     "expand": ("truncated expansion of a basis element",
                {"--basis": dict(required=True, choices=("m", "f")),
-                "--vars": dict(type=int, required=True), **_FORMAT}, 1, cmd_expand),
+                "--vars": dict(type=int, required=True), **_FORMAT}, 1, cmd_work,
+               (_expand_size, EXPAND_MAX_TERMS, _WRITE)),
     "verify": ("run a verification suite",
                {"--suite": dict(required=True, choices=tuple(SUITES)),
                 "--max-degree": dict(type=int, default=4),
@@ -334,7 +350,7 @@ COMMANDS = {
                 "--jobs": dict(type=int, default=1),
                 "--algebra": dict(choices=hopf.ALGEBRAS,
                                   help="one algebra (default: hsym, ssym and rqsym-m)"),
-                **_FORMAT}, 0, cmd_verify),
+                **_FORMAT}, 0, cmd_verify, None),
 }
 
 # a string of this form is a value, not an option, so that signed
@@ -357,13 +373,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     parser.commands = sub.choices  # name -> subcommand parser, filled below
-    for name, (help_text, options, n_elements, fn) in COMMANDS.items():
+    for name, (help_text, options, n_elements, *_) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, keywords in options.items():
             p.add_argument(flag, **keywords)
         if n_elements:
             p.add_argument("elements", nargs=n_elements)
-        p.set_defaults(fn=fn)
     return parser
 
 
@@ -374,7 +389,7 @@ def _read_plain(name, argv):
     contiguous run of exactly their number, every value accepted by its
     option's ``type`` and ``choices``, every required option present.  None
     for any other line, which argparse then reads."""
-    _, options, n_elements, fn = COMMANDS[name]
+    _, options, n_elements, *_ = COMMANDS[name]
     seen = {}  # flag, or "elements" for the run of elements, -> its value
     i, n = 0, len(argv)
     while i < n:
@@ -401,7 +416,7 @@ def _read_plain(name, argv):
         if "choices" in keywords and value not in keywords["choices"]:
             return None
         seen[flag] = value
-    args = argparse.Namespace(command=name, fn=fn)
+    args = argparse.Namespace(command=name)
     if n_elements:
         if "elements" not in seen:
             return None
@@ -415,11 +430,8 @@ def _read_plain(name, argv):
 
 
 def parse_argv(argv):
-    """``build_parser().parse_args(argv)``.  A plain line of a command in
-    ``COMMANDS`` is read by ``_read_plain`` in one pass over the table, with
-    no parser built.  argparse reads any other line, and writes only help
-    and errors: the command's parser alone when the first element names a
-    command, the top-level parser for help, an unknown command or none."""
+    """``build_parser().parse_args(argv)``, a plain line read by
+    ``_read_plain``, any other by argparse, as the module docstring says."""
     if not argv or argv[0] not in COMMANDS:  # help, an unknown command or none
         return build_parser().parse_args(argv)
     args = _read_plain(argv[0], argv[1:])
@@ -436,7 +448,12 @@ def parse_argv(argv):
 def main(argv=None):
     args = parse_argv(sys.argv[1:] if argv is None else list(argv))
     try:
-        code = args.fn(args)
+        *_, handler, bound = COMMANDS[args.command]
+        if bound:
+            estimate, limit, refusal = bound
+            if estimate(args, limit) > limit:
+                raise CLIError(f"{args.command} would {refusal % limit}")
+        code = handler(args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
         return code
     except (CLIError, ValueError) as exc:

@@ -86,30 +86,14 @@ def refinement_terms(alpha):
     1); each positive part contributes a composition of itself.
     """
     runs, parts = eps_runs(alpha)
-    k = len(parts)
-    run_choices = []
-    for q in range(k):
-        i = runs[q]
-        run_choices.append([(j, comb(i, j)) for j in range(i + 1)])
-    last = runs[k]
-    if last == 0:
-        run_choices.append([(0, 1)])
-    else:
-        run_choices.append([(j, comb(last - 1, j - 1)) for j in range(1, last + 1)])
-    part_choices = [compositions_of(s) for s in parts]
-
-    out = []
-
-    def build(q, prefix, coeff):
-        if q == k:
-            for j, cj in run_choices[k]:
-                out.append((tuple(prefix + [EPS] * j), coeff * cj))
-            return
-        for j, cj in run_choices[q]:
-            for gamma in part_choices[q]:
-                build(q + 1, prefix + [EPS] * j + list(gamma), coeff * cj)
-
-    build(0, [], 1)
+    last = runs.pop()
+    # one block of choices per run and the part after it, then the last run
+    blocks = [[((EPS,) * j + gamma, comb(i, j)) for j in range(i + 1) for gamma in gammas]
+              for i, gammas in zip(runs, map(compositions_of, parts))]
+    blocks.append([((EPS,) * j, comb(last - 1, j - 1)) for j in range(1, last + 1)] or [((), 1)])
+    out = [((), 1)]
+    for block in blocks:
+        out = [(beta + b, c * cb) for beta, c in out for b, cb in block]
     return out
 
 

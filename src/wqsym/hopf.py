@@ -3,14 +3,14 @@ functions, and ``verify_hopf``, which states the Hopf axioms of any of
 them as laws for the runner in ``laws``.
 
 Each of the five algebras in ``ALGEBRAS`` is defined once, as a row of
-the table in ``context_by_name``, the only constructor of a
-``HopfContext``.  A row gives the basis letter, the kind of key (signed
-permutations, of degree their length, or regularized compositions, of
-degree their total weight), the product, the coproduct, an exhaustive
-basis enumerator per degree, and the closed-form antipode if there is
-one.  The unit is the empty key, and the counit picks out its
-coefficient.  Every degree stratum is finite, so ``verify_hopf`` can
-sweep it.
+the table ``_ROWS``, which ``context_by_name``, the only constructor of a
+``HopfContext``, builds for the algebra asked for alone.  A row gives the
+basis letter, the kind of key (signed permutations, of degree their
+length, or regularized compositions, of degree their total weight), the
+product, the coproduct, an exhaustive basis enumerator per degree, and
+the closed-form antipode if there is one.  The unit is the empty key, and
+the counit picks out its coefficient.  Every degree stratum is finite, so
+``verify_hopf`` can sweep it.
 
 The coproduct of signed permutations, the standardized deconcatenation, is
 ``standard_splits``: dropping a letter of absolute value m from a standard
@@ -134,18 +134,12 @@ m_to_f_cached = functools.lru_cache(maxsize=1024)(m_to_f)
 
 
 def rqsym_product_f(alpha, beta):
-    """Product on fundamental keys, through signed permutations.
-
-    By the paper's P-partition theorem, Gamma(pi) = F_{wcomp(pi)} and
-    Gamma takes the weight -1 shifted quasi-shuffle to the product.  So
-
-        F_alpha F_beta = sum_w c_w F_{wcomp(w)}
-
-    over the terms c_w w of s * t[len(s)] at weight -1, for any s and t
-    with wcomp(s) = alpha and wcomp(t) = beta.  ``wcomp`` reads only the
-    relative order inside each positive block, and merges touch only
-    negative letters, so the raw words need no ``standardize``.
-    """
+    """Product on fundamental keys, by the P-partition theorem of the
+    module docstring: sum c_w F_{wcomp(w)} over the terms c_w w of
+    s * t[len(s)] at weight -1, for s and t the ``wcomp_preimage`` of alpha
+    and beta.  ``wcomp`` reads only the relative order inside each positive
+    block, and merges touch only negative letters, so the raw words need no
+    ``standardize``."""
     s, t = wcomp_preimage(alpha), wcomp_preimage(beta)
     raw = quasi_shuffle(s, shift(t, len(s)), -1)
     return LinComb((wcomp(w), c) for w, c in raw.terms.items())
@@ -167,7 +161,7 @@ def rqsym_antipode_f(alpha):
 
 class HopfContext:
     """A Hopf algebra presented on a basis, with finite degree strata:
-    one row of the table in ``context_by_name``.
+    one row of the table ``_ROWS``.
 
     The context owns its memos, as attributes read at call time:
     ``product``, ``coproduct`` and ``closed_antipode`` (None without a
@@ -215,8 +209,7 @@ class HopfContext:
     def graded_antipode(self, key):
         """The antipode of ``key`` by the generic recursion of the module
         docstring, whether or not a closed form exists, each value stored in
-        ``_graded``: every product is added into one dict by ``add_product``,
-        and the zeros are dropped once, at the end."""
+        ``_graded``."""
         found = self._graded.get(key)
         if found is not None:
             return found
@@ -232,33 +225,34 @@ class HopfContext:
         return out
 
 
-def context_by_name(name, lam=-1):
-    """The context of the algebra ``name``, one of ``ALGEBRAS``; ``lam`` is
-    the weight of the hsym product.
+# name: the table row of a weight lam: basis letter, key kind, entries the
+# keys exclude, product, coproduct, basis of a degree, closed-form antipode,
+# add_product.  Each row is built when its context is, from the functions
+# this module binds at the time.
+_ROWS = {
+    "hsym": lambda lam: ("P", WORDS, None, lambda a, b: shifted_quasi_shuffle(a, b, lam),
+                         standard_splits, lambda n: list(signed_permutations(n)), None,
+                         lambda out, a, b, c: add_shifted_product(out, a, b, lam, c)),
+    "ssym": lambda lam: ("P", WORDS, "negative letters", shifted_shuffle, standard_splits,
+                         lambda n: list(positive_permutations(n)), None,
+                         lambda out, a, b, c: add_shifted_product(out, a, b, 0, c)),
+    "rqsym-m": lambda lam: ("M", COMPOSITIONS, None, star_product, deconcatenation,
+                            regularized_compositions, rqsym_antipode_m),
+    "rqsym-f": lambda lam: ("F", COMPOSITIONS, None, rqsym_product_f, rqsym_coproduct_f,
+                            regularized_compositions, rqsym_antipode_f),
+    "qsym": lambda lam: ("M", COMPOSITIONS, "epsilon parts", star_product, deconcatenation,
+                         compositions_of, rqsym_antipode_m),
+}
 
-    The table is built on each call, so that it holds the functions this
-    module binds at the time of the call."""
+
+def context_by_name(name, lam=-1):
+    """The context of the algebra ``name``, one of ``ALGEBRAS``, from its
+    row alone; ``lam`` is the weight of the hsym product."""
     lam = Fraction(lam)
     lam = lam.numerator if lam.denominator == 1 else lam  # an integral weight stays int
-    table = {
-        # name: basis letter, key kind, entries the keys exclude, product,
-        #       coproduct, basis of a degree, closed-form antipode, add_product
-        "hsym": ("P", WORDS, None, lambda a, b: shifted_quasi_shuffle(a, b, lam),
-                 standard_splits, lambda n: list(signed_permutations(n)), None,
-                 lambda out, a, b, c: add_shifted_product(out, a, b, lam, c)),
-        "ssym": ("P", WORDS, "negative letters", shifted_shuffle, standard_splits,
-                 lambda n: list(positive_permutations(n)), None,
-                 lambda out, a, b, c: add_shifted_product(out, a, b, 0, c)),
-        "rqsym-m": ("M", COMPOSITIONS, None, star_product, deconcatenation,
-                    regularized_compositions, rqsym_antipode_m),
-        "rqsym-f": ("F", COMPOSITIONS, None, rqsym_product_f, rqsym_coproduct_f,
-                    regularized_compositions, rqsym_antipode_f),
-        "qsym": ("M", COMPOSITIONS, "epsilon parts", star_product, deconcatenation,
-                 compositions_of, rqsym_antipode_m),
-    }
-    if name not in table:
+    if name not in _ROWS:
         raise ValueError(f"unknown algebra {name!r}")
-    return HopfContext(name, *table[name])
+    return HopfContext(name, *_ROWS[name](lam))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wqsym import cli, morphisms, ppartitions
+from wqsym import cli, hopf, morphisms, ppartitions
 from wqsym.cli import _listing, _Parser, build_parser, main, parse_argv
-from wqsym.compositions import EPS
+from wqsym.compositions import EPS, comp_to_text, refinement_terms, regularized_compositions
 from wqsym.hopf import ALGEBRAS, context_by_name
 from wqsym.laws import Law, run_laws
 from wqsym.lincomb import LinComb, lincomb_from_json
@@ -230,11 +230,17 @@ def test_walk_size_bounds_the_packed_walk():
     assert ppartitions.walk_size(chain, 2, 10**6) == 3001
 
 
+def estimate(command, *argv):
+    """The estimate that the row of ``command`` makes of the plain line
+    ``command *argv``, read by ``parse_argv``."""
+    estimate, limit, _ = cli.COMMANDS[command][4]
+    return estimate(parse_argv([command, *argv]), limit)
+
+
 def output_size(algebra, lam, *texts):
-    ctx = context_by_name(algebra, lam)
-    merging = algebra != "ssym" and bool(Fraction(lam) or algebra != "hsym")
-    size = len if algebra in ("rqsym-m", "qsym") else ctx.degree
-    return cli._output_size(algebra, merging, tuple(sorted(size(ctx.parse_key(t)) for t in texts)))
+    """The bound of ``product`` on two keys, of ``antipode`` on one."""
+    command = "product" if len(texts) == 2 else "antipode"
+    return estimate(command, "--algebra", algebra, "--lambda", lam, *texts)
 
 
 @pytest.mark.parametrize("argv", [
@@ -282,6 +288,79 @@ def test_output_size_calibration_and_bound():
             for x, y in ((rng.choice(keys), rng.choice(keys)) for _ in range(60)):
                 assert len(ctx.product(x, y)) * (size(x) + size(y)) <= output_size(
                     algebra, lam, ctx.key_text(x), ctx.key_text(y)), (x, y)
+
+
+def test_convert_and_coproduct_bounds_count_their_terms():
+    """The convert bound is the terms that ``refinement_terms`` lists times
+    the weight, and the coproduct bound the terms of the coproduct times
+    len + 1, on every key of degree <= 5; both are at least the entries
+    written.  F -> M of the one part 18 is admitted and of 19 refused; the
+    rqsym-f coproduct of the one part 99,999 is admitted and of 10^5
+    refused."""
+    entries = lambda lc, size: sum(size(k) for k in lc.terms)
+    for w in range(6):
+        for alpha in regularized_compositions(w):
+            for frm, to, fn in (("f", "m", hopf.f_to_m), ("m", "f", hopf.m_to_f)):
+                got = estimate("convert", "--from", frm, "--to", to, comp_to_text(alpha))
+                assert got == len(refinement_terms(alpha)) * w >= entries(fn(alpha), len), alpha
+    for algebra in ALGEBRAS:
+        ctx = context_by_name(algebra)
+        for x in (x for d in range(6) for x in ctx.basis(d)):
+            got = estimate("coproduct", "--algebra", algebra, ctx.key_text(x))
+            coproduct = ctx.coproduct(x)
+            assert got == len(coproduct) * (len(x) + 1), (algebra, x)
+            assert got >= entries(coproduct, lambda kk: len(kk[0]) + len(kk[1]))
+    assert estimate("convert", "--from", "f", "--to", "m", "18") <= cli.CONVERT_MAX_ENTRIES \
+        < estimate("convert", "--from", "f", "--to", "m", "19")
+    assert estimate("coproduct", "--algebra", "rqsym-f", "99999") <= cli.COPRODUCT_MAX_ENTRIES \
+        < estimate("coproduct", "--algebra", "rqsym-f", "100000")
+
+
+def test_every_command_with_elements_declares_a_bound(tmp_path, capsys, monkeypatch):
+    """Every command that takes elements declares a bound in its row, but
+    map, which writes at most its input; every bounded command refuses one
+    oversized request by its estimate alone, with its handler and every
+    function that would do its work patched to fail, and a malformed one
+    by its checks first."""
+    poset = tmp_path / "antichain.poset"
+    poset.write_text("\n".join(["1"] + [str(-i) for i in range(2, 21)]) + "\n")
+    neg = ",".join(str(-i) for i in range(1, 11))
+    oversized = {
+        "product": (["--algebra", "hsym", neg, neg], "write more than 100000000 entries"),
+        "coproduct": (["--algebra", "rqsym-f", "100000000"], "write more than 200000 entries"),
+        "antipode": (["--algebra", "rqsym-f", "17"], "write more than 100000000 entries"),
+        "convert": (["--from", "f", "--to", "m", "40"], "write more than 3000000 entries"),
+        "gamma": (["--poset", str(poset), "--vars", "3"],
+                  "walk more than 1000000 packed P-partitions"),
+        "expand": (["--basis", "m", "--vars", "100", "1,1,1,1,1"],
+                   "write more than 100000 entries"),
+    }
+    writes_at_most_its_input = {"map"}
+
+    def never(*args):
+        raise AssertionError("the oversized request ran")
+
+    for module, names in [
+            (hopf, ["shifted_quasi_shuffle", "add_shifted_product", "shifted_shuffle",
+                    "star_product", "rqsym_product_f", "standard_splits", "deconcatenation",
+                    "rqsym_coproduct_f", "rqsym_antipode_m", "rqsym_antipode_f",
+                    "refinement_terms", "f_to_m_cached", "m_to_f_cached"]),
+            (ppartitions, ["_exponent_counts", "gamma", "expand_m", "expand_f"])]:
+        for name in names:
+            monkeypatch.setattr(module, name, never)
+    bounded = {name for name, row in cli.COMMANDS.items() if row[4]}
+    assert bounded == set(oversized)
+    for name, (help_text, options, n_elements, fn, bound) in cli.COMMANDS.items():
+        assert not n_elements or name in bounded | writes_at_most_its_input, name
+        if bound:
+            monkeypatch.setitem(cli.COMMANDS, name, (help_text, options, n_elements, never, bound))
+            argv, refusal = oversized[name]
+            assert run(capsys, name, *argv) == (2, "", f"error: {name} would {refusal}\n")
+    # the checks on the operands come before the count
+    assert run(capsys, "product", "--algebra", "hsym", "--lambda", "x", neg, neg) == (
+        2, "", "error: bad rational 'x'\n")
+    assert run(capsys, "convert", "--from", "m", "--to", "m", "40") == (
+        2, "", "error: convert needs --from f --to m or --from m --to f\n")
 
 
 def test_gamma_on_deep_and_cyclic_posets(tmp_path, capsys):
