@@ -29,6 +29,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .compositions import EPS, eps_runs, text_to_comp, total_weight
+from .words import text_to_perm
 from .laws import merge_reports, report_to_json
 from .lincomb import lincomb_to_text, sorted_keys
 from . import hopf, morphisms, ppartitions
@@ -95,10 +96,16 @@ def _at_least(value, low, flag):
 
 
 def _parse_lambda(text):
+    """``Fraction(text)``, an int when integral, read once: a text that
+    ``int`` reads, as the default "-1", Fraction reads as the same number."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise CLIError(f"bad rational {text!r}") from None
+        return int(text)
+    except ValueError:
+        try:
+            lam = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise CLIError(f"bad rational {text!r}") from None
+    return lam.numerator if lam.denominator == 1 else lam
 
 
 # The limits of the bounds in ``COMMANDS``: one per command, as the cost of
@@ -118,36 +125,34 @@ GAMMA_MAX_WALK = 10**6
 
 
 @functools.lru_cache(maxsize=256)  # few shapes of request recur; each bound costs microseconds
-def _output_size(algebra, merging, sizes):
+def _output_size(algebra, merging, *sizes):
     """An upper bound on the entries of the product of two keys of the
-    algebra, or of the antipode of one, from their ``sizes`` alone, in
-    increasing order: terms times the summed size, the parts of a monomial
-    key (rqsym-m and qsym), else the degree, as each term has at most that
-    many letters or parts.  A product of keys of sizes m <= n has at most
-    the C(m + n, m) >= 2^m shuffles of two words of those lengths, and with
-    ``merging`` at most their D(m, n) = sum_r C(m, r) C(n, r) 2^r
-    quasi-shuffles; an F key of weight w has a preimage under ``wcomp`` of
-    w letters.  The closed-form antipode of a monomial key of l parts has a
-    term per composition of l.  A graded antipode keeps to the keys of at
-    most its key's degree d, d alone without ``merging``: 2^j j! signed
-    permutations of each length j, j! in ssym, and F(2j + 1) regularized
-    compositions of each weight j.  In degree d there are at least
-    2^(d - 1) of them, so a size above 64 gives 2^64."""
-    if sizes[0] > 64:
+    algebra, or of the antipode of one, from their ``sizes`` alone: terms
+    times the summed size, the parts of a monomial key (rqsym-m and qsym),
+    else the degree, as each term has at most that many letters or parts.
+    A product of keys of sizes m <= n has at most the C(m + n, m) >= 2^m
+    shuffles of two words of those lengths, and with ``merging`` at most
+    their D(m, n) = sum_r C(m, r) C(n, r) 2^r quasi-shuffles; an F key of
+    weight w has a preimage under ``wcomp`` of w letters.  The closed-form
+    antipode of a monomial key of l parts has a term per composition of l,
+    and of an F key of weight d walks F -> M, the monomial antipode and
+    M -> F, each at most 3^(d - 1) terms.  A graded antipode keeps to the
+    keys of at most its key's degree d, d alone without ``merging``: 2^j j!
+    signed permutations of each length j, j! in ssym.  In degree d there
+    are at least 2^(d - 1) of them, so a size above 64 gives 2^64."""
+    if min(sizes) > 64:
         return 1 << 64
     if len(sizes) == 2:
-        m, n = sizes
+        m, n = sorted(sizes)
         return (m + n) * (sum([comb(m, r) * comb(n, r) << r for r in range(m + 1)])
                           if merging else comb(m + n, m))
     d, = sizes
     if algebra in ("rqsym-m", "qsym"):
         return d * (1 << d >> 1 or 1)
-    terms, r, before = 0, 1, 1  # r: the regularized compositions of weight j
-    for j in range(d + 1):
-        if merging or j == d:
-            terms += {"hsym": factorial(j) << j, "ssym": factorial(j)}.get(algebra, r)
-        r, before = 3 * r - before, r
-    return d * terms
+    if algebra == "rqsym-f":
+        return d * 3 ** d
+    return d * sum([factorial(j) << (j if algebra == "hsym" else 0)
+                    for j in range(0 if merging else d, d + 1)])
 
 
 def _operation_size(args, limit):
@@ -162,7 +167,7 @@ def _operation_size(args, limit):
     if args.command == "coproduct":
         return (size(keys[0]) + 1) * (len(keys[0]) + 1)
     merging = bool(lam) if args.algebra == "hsym" else args.algebra != "ssym"
-    return _output_size(args.algebra, merging, tuple(sorted(map(size, keys))))
+    return _output_size(args.algebra, merging, *map(size, keys))
 
 
 def _convert_size(args, limit):
@@ -213,20 +218,21 @@ def cmd_work(args):
     return 0
 
 
-# map: (algebra of the input, the function in morphisms, algebra of the
-# output); the function is looked up when the command runs
+# map: (reader of the input key, the function in morphisms, algebra of the
+# output); the function is looked up when the command runs.  The input
+# algebras, hsym, rqsym-m and rqsym-f, take every key their reader reads
 MAPS = {
-    "d1": ("hsym", "d1", "rqsym-f"),
-    "d2": ("hsym", "d2", "rqsym-f"),
-    "phi1M": ("rqsym-m", "phi1_m", "qsym"),
-    "phi1F": ("rqsym-f", "phi1_f", "rqsym-f"),
-    "phi2": ("hsym", "phi2", "ssym"),
+    "d1": (text_to_perm, "d1", "rqsym-f"),
+    "d2": (text_to_perm, "d2", "rqsym-f"),
+    "phi1M": (text_to_comp, "phi1_m", "qsym"),
+    "phi1F": (text_to_comp, "phi1_f", "rqsym-f"),
+    "phi2": (text_to_perm, "phi2", "ssym"),
 }
 
 
 def cmd_map(args):
-    source, fn, target = MAPS[args.which]
-    key = hopf.context_by_name(source).parse_key(args.elements[0])
+    read, fn, target = MAPS[args.which]
+    key = read(args.elements[0])
     _emit(getattr(morphisms, fn)(key), hopf.context_by_name(target), args.format)
     return 0
 

@@ -159,13 +159,20 @@ def rqsym_antipode_f(alpha):
     return s.map_basis(m_to_f_cached)
 
 
+def _memo(fn):
+    """``functools.cache(fn)``, the same C type with ``cache_info``, but
+    without ``update_wrapper``, which costs nine times the cache and most
+    of a context; functools has built it by this call since Python 3.5."""
+    return functools._lru_cache_wrapper(fn, None, False, functools._CacheInfo)
+
+
 class HopfContext:
     """A Hopf algebra presented on a basis, with finite degree strata:
     one row of the table ``_ROWS``.
 
     The context owns its memos, as attributes read at call time:
     ``product``, ``coproduct`` and ``closed_antipode`` (None without a
-    closed form) are ``functools.cache`` of the row's plain functions, and
+    closed form) are ``_memo`` of the row's plain functions, and
     ``_graded`` holds the values of ``graded_antipode``.  No memo holds the
     context, so a dropped context is freed by reference counting, and a
     new one starts cold."""
@@ -178,10 +185,10 @@ class HopfContext:
         self.letter = letter
         self.degree, self.key_text, self._text_to_key = kind
         self._excluded = excluded
-        self.product = functools.cache(product)
-        self.coproduct = functools.cache(coproduct)
+        self.product = _memo(product)
+        self.coproduct = _memo(coproduct)
         self.basis = basis
-        self.closed_antipode = functools.cache(antipode) if antipode else None
+        self.closed_antipode = _memo(antipode) if antipode else None
         if add_product:
             self.add_product = add_product
         self._graded = {}
@@ -247,9 +254,11 @@ _ROWS = {
 
 def context_by_name(name, lam=-1):
     """The context of the algebra ``name``, one of ``ALGEBRAS``, from its
-    row alone; ``lam`` is the weight of the hsym product."""
-    lam = Fraction(lam)
-    lam = lam.numerator if lam.denominator == 1 else lam  # an integral weight stays int
+    row alone; ``lam`` is the weight of the hsym product, an int as it is,
+    else read by ``Fraction``, then an int if integral."""
+    if type(lam) is not int:
+        lam = Fraction(lam)
+        lam = lam.numerator if lam.denominator == 1 else lam
     if name not in _ROWS:
         raise ValueError(f"unknown algebra {name!r}")
     return HopfContext(name, *_ROWS[name](lam))

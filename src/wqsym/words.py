@@ -42,7 +42,7 @@ def sign_bullet(a, b):
 
 
 def is_signed_permutation(word):
-    return sorted(abs(a) for a in word) == list(range(1, len(word) + 1))
+    return sorted(map(abs, word)) == list(range(1, len(word) + 1))
 
 
 def standardize(word):

@@ -61,6 +61,28 @@ def test_map_phi2_example(capsys):
     assert json.loads(out) == {"terms": [{"coeff": "-1", "key": "1,2"}]}
 
 
+@pytest.mark.parametrize("which, key, bad", [
+    ("d1", "2,3,1", "1,1"), ("d2", "-1,2", "1,0"), ("phi2", "-3,1,2,-4", "1,x"),
+    ("phi1M", "1,e", "1,0"), ("phi1F", "e,2", "x")])
+def test_map_builds_only_the_target_context(capsys, monkeypatch, which, key, bad):
+    """map reads its input with the key reader of the source algebra and
+    builds one context, the target's, to print the result; a bad key gets
+    the error the source's context gives."""
+    source, fn, target = {"d1": ("hsym", "d1", "rqsym-f"), "d2": ("hsym", "d2", "rqsym-f"),
+                          "phi2": ("hsym", "phi2", "ssym"), "phi1M": ("rqsym-m", "phi1_m", "qsym"),
+                          "phi1F": ("rqsym-f", "phi1_f", "rqsym-f")}[which]
+    out = context_by_name(target)
+    want = _listing(getattr(morphisms, fn)(context_by_name(source).parse_key(key)), out.key_text)
+    with pytest.raises(ValueError) as refused:
+        context_by_name(source).parse_key(bad)
+    built = []
+    monkeypatch.setattr(cli.hopf, "context_by_name",
+                        lambda *args: built.append(args) or context_by_name(*args))
+    assert run(capsys, "map", "--which", which, key) == (0, want + "\n", "")
+    assert built == [(target,)]
+    assert run(capsys, "map", "--which", which, bad) == (2, "", f"error: {refused.value}\n")
+
+
 def test_verify_square_summary(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "square", "--max-degree", "3", "--format", "text"
@@ -251,6 +273,8 @@ def output_size(algebra, lam, *texts):
     ("antipode", "--algebra", "ssym", "1,2,3,4,5,6,7,8,9,10,11"),
     ("antipode", "--algebra", "rqsym-m", ",".join(["1"] * 30)),
     ("antipode", "--algebra", "rqsym-f", "17"),
+    ("antipode", "--algebra", "rqsym-f", "16"),
+    ("antipode", "--algebra", "rqsym-f", "15"),
 ])
 def test_product_and_antipode_refuse_an_oversized_request(capsys, monkeypatch, argv):
     """Checked by the estimate alone: each exits 2 before the context
@@ -314,6 +338,41 @@ def test_convert_and_coproduct_bounds_count_their_terms():
         < estimate("convert", "--from", "f", "--to", "m", "19")
     assert estimate("coproduct", "--algebra", "rqsym-f", "99999") <= cli.COPRODUCT_MAX_ENTRIES \
         < estimate("coproduct", "--algebra", "rqsym-f", "100000")
+
+
+def test_rqsym_f_antipode_bound_counts_the_monomial_walk(monkeypatch):
+    """The closed rqsym-f antipode walks F -> M, the monomial antipode and
+    M -> F.  On every key of weight w <= 7 each walk lists at most 3^(w - 1)
+    terms, the last two as many at w = 7, and the bound is at least the
+    entries of all three.  The part 14 (about 6 s) is admitted and 15
+    refused."""
+    walks = {}
+
+    def counting(name, fn):
+        def walk(key):
+            lc = fn(key)
+            terms, entries = walks.get(name, (0, 0))
+            walks[name] = terms + len(lc), entries + sum(map(len, lc.terms))
+            return lc
+        return walk
+
+    for name, fn in [("f_to_m_cached", hopf.f_to_m), ("m_to_f_cached", hopf.m_to_f),
+                     ("rqsym_antipode_m", hopf.rqsym_antipode_m)]:
+        monkeypatch.setattr(hopf, name, counting(name, fn))
+    most = {}
+    for w in range(8):
+        for alpha in regularized_compositions(w):
+            walks.clear()
+            hopf.rqsym_antipode_f(alpha)
+            assert len(walks) == 3 or not alpha
+            entries = sum(entries for _, entries in walks.values())
+            assert entries <= estimate("antipode", "--algebra", "rqsym-f", comp_to_text(alpha))
+            for name, (terms, _) in walks.items():
+                most[w, name] = max(most.get((w, name), 0), terms)
+    assert all(terms <= 3 ** max(w - 1, 0) for (w, _), terms in most.items())
+    assert most[7, "rqsym_antipode_m"] == most[7, "m_to_f_cached"] == 3 ** 6
+    assert estimate("antipode", "--algebra", "rqsym-f", "14") <= cli.OPERATION_MAX_ENTRIES \
+        < estimate("antipode", "--algebra", "rqsym-f", "15")
 
 
 def test_every_command_with_elements_declares_a_bound(tmp_path, capsys, monkeypatch):
@@ -543,6 +602,30 @@ def test_hopf_suite_refuses_a_weight_its_algebra_never_reads(capsys, algebra, di
     assert err.startswith("error: ") and algebra in err and "--lambda" in err
     code, out, _ = run(capsys, *args, "--lambda", "-1")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("text", ["-1", "1_0", " 1 ", "+1", "-0", "4/2", "1e2", "1.5",
+                                  "0x1", "2/0", "abc"])
+def test_weight_is_read_once_as_fraction_reads_it(capsys, text):
+    """``--lambda`` is ``Fraction(text)``, an int when integral, in an hsym
+    product and in the verify report; a text that ``Fraction`` refuses
+    exits 2 with the same one error line in both commands."""
+    product = ("product", "--algebra", "hsym", "--lambda", text, "1,-2", "-1,-2")
+    verify = ("verify", "--suite", "hopf", "--algebra", "hsym", "--lambda", text,
+              "--max-degree", "1")
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        for argv in (product, verify):
+            assert run(capsys, *argv) == (2, "", f"error: bad rational {text!r}\n")
+        return
+    lam = cli._parse_lambda(text)
+    assert lam == want and type(lam) is (int if want.denominator == 1 else Fraction)
+    code, out, _ = run(capsys, *product)
+    assert code == 0 and lincomb_from_json(json.loads(out), text_to_perm) == \
+        context_by_name("hsym", want).product((1, -2), (-1, -2))
+    code, out, _ = run(capsys, *verify)
+    assert code == 0 and json.loads(out)["summary"]["lambda"] == str(want)
 
 
 def test_verify_reads_weight_minus_one_as_the_default(capsys):

@@ -1,5 +1,6 @@
 """Coproducts, antipodes, basis changes, and the axiom checker."""
 
+import functools
 import importlib
 import os
 import random
@@ -375,13 +376,13 @@ def antipode_memo(ctx):
 
 
 def unmemoized(ctx):
-    """``ctx`` with every memo replaced by the plain function it wraps, and
-    the memo of the graded antipode by one that stores nothing: the
-    reference for the memoized context."""
-    ctx.product = ctx.product.__wrapped__
-    ctx.coproduct = ctx.coproduct.__wrapped__
+    """``ctx``, built at weight -1, with every memo replaced by the plain
+    function of its row, and the memo of the graded antipode by one that
+    stores nothing: the reference for the memoized context."""
+    _, _, _, product, coproduct, _, antipode, *_ = hopf._ROWS[ctx.name](-1)
+    ctx.product, ctx.coproduct = product, coproduct
     if ctx.closed_antipode:
-        ctx.closed_antipode = ctx.closed_antipode.__wrapped__
+        ctx.closed_antipode = antipode
     ctx._graded = _Forgetful()
     return ctx
 
@@ -414,6 +415,35 @@ def test_memos_are_per_context_and_results_stay_unchanged():
     fresh = context_by_name("hsym", -1)
     assert fresh.product.cache_info().currsize == 0
     assert len(antipode_memo(fresh)) == 0
+
+
+def test_building_a_context_copies_no_metadata(monkeypatch):
+    """A context's memos are the bare C caches: building and using a
+    context of every row calls no ``functools.update_wrapper``."""
+    def never(*args, **kwargs):
+        raise AssertionError("update_wrapper called")
+
+    monkeypatch.setattr(functools, "update_wrapper", never)
+    for name in ALGEBRAS:
+        ctx = context_by_name(name, Fraction(2, 3) if name == "hsym" else "-1")
+        x = ctx.basis(2)[-1]
+        assert ctx.product(x, x) and ctx.coproduct(x) and ctx.antipode(x)
+        assert ctx.product.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_two_contexts_share_no_memo_entry(name):
+    """Two contexts of the same row hold distinct memos: after one has run
+    the Hopf suite at degree 2, the other's are all empty, and they fill
+    with entries of their own."""
+    ctx, other = context_by_name(name), context_by_name(name)
+    memos = lambda c: [m for m in (c.product, c.coproduct, c.closed_antipode) if m]
+    verify_hopf(ctx, 2)
+    assert all(m.cache_info().currsize for m in memos(ctx)) and (ctx._graded or ctx.closed_antipode)
+    assert not any(m.cache_info().currsize for m in memos(other)) and not other._graded
+    x = ctx.basis(2)[0]
+    assert other.product(x, x) is not ctx.product(x, x)
+    assert other.antipode(x) is not ctx.antipode(x)
 
 
 def test_graded_antipode_reads_the_coproduct_at_call_time():
