@@ -96,16 +96,16 @@ def _at_least(value, low, flag):
 
 
 def _parse_lambda(text):
-    """``Fraction(text)``, an int when integral, read once: a text that
-    ``int`` reads, as the default "-1", Fraction reads as the same number."""
-    try:
-        return int(text)
-    except ValueError:
+    """``Fraction(text)``, read once."""
+    if "_" not in text:  # int reads as Fraction does but "_", which Fraction refuses before 3.11
         try:
-            lam = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise CLIError(f"bad rational {text!r}") from None
-    return lam.numerator if lam.denominator == 1 else lam
+            return int(text)
+        except ValueError:
+            pass
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise CLIError(f"bad rational {text!r}") from None
 
 
 # The limits of the bounds in ``COMMANDS``: one per command, as the cost of
@@ -134,12 +134,18 @@ def _output_size(algebra, merging, *sizes):
     shuffles of two words of those lengths, and with ``merging`` at most
     their D(m, n) = sum_r C(m, r) C(n, r) 2^r quasi-shuffles; an F key of
     weight w has a preimage under ``wcomp`` of w letters.  The closed-form
-    antipode of a monomial key of l parts has a term per composition of l,
-    and of an F key of weight d walks F -> M, the monomial antipode and
-    M -> F, each at most 3^(d - 1) terms.  A graded antipode keeps to the
-    keys of at most its key's degree d, d alone without ``merging``: 2^j j!
-    signed permutations of each length j, j! in ssym.  In degree d there
-    are at least 2^(d - 1) of them, so a size above 64 gives 2^64."""
+    antipode of a monomial key of l parts has a term per composition of l;
+    of an F key of weight d it walks F -> M, the monomial antipode, M -> F,
+    each at most 3^(d - 1) terms.  Read the key as P units with i e's in each
+    of its P + 1 gaps: a walk is a product of a factor per inner gap, at most
+    3^(1 + i), and per end, at most 3^i.  F -> M: 2 (a cut or not) or i + 1
+    (the e's kept); by 2^(l - 1): 3, 2^(i + 2) - 2, 2^(i + 1) - 1 at an end;
+    M -> F refines their coarsenings, any cuts, n <= i e's at a cut or an end:
+    2 + T(i), T(i) = (i + 1)(i + 2)/2 at an end.  e^E: E, 2^E - 1, T(E - 1).
+    A graded antipode keeps to the keys of at most its key's degree d, d
+    alone without ``merging``: 2^j j! signed permutations of each length j,
+    j! in ssym.  In degree d there are at least 2^(d - 1) of them, so a
+    size above 64 gives 2^64."""
     if min(sizes) > 64:
         return 1 << 64
     if len(sizes) == 2:
@@ -218,9 +224,8 @@ def cmd_work(args):
     return 0
 
 
-# map: (reader of the input key, the function in morphisms, algebra of the
-# output); the function is looked up when the command runs.  The input
-# algebras, hsym, rqsym-m and rqsym-f, take every key their reader reads
+# map: (reader of the input key, which every input algebra takes whole, the
+# function in morphisms, looked up when the command runs, output algebra)
 MAPS = {
     "d1": (text_to_perm, "d1", "rqsym-f"),
     "d2": (text_to_perm, "d2", "rqsym-f"),

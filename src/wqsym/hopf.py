@@ -160,9 +160,7 @@ def rqsym_antipode_f(alpha):
 
 
 def _memo(fn):
-    """``functools.cache(fn)``, the same C type with ``cache_info``, but
-    without ``update_wrapper``, which costs nine times the cache and most
-    of a context; functools has built it by this call since Python 3.5."""
+    """``functools.cache(fn)`` by its own call (since 3.5), no ``update_wrapper`` (9x the cache)."""
     return functools._lru_cache_wrapper(fn, None, False, functools._CacheInfo)
 
 
@@ -185,8 +183,7 @@ class HopfContext:
         self.letter = letter
         self.degree, self.key_text, self._text_to_key = kind
         self._excluded = excluded
-        self.product = _memo(product)
-        self.coproduct = _memo(coproduct)
+        self.product, self.coproduct = _memo(product), _memo(coproduct)
         self.basis = basis
         self.closed_antipode = _memo(antipode) if antipode else None
         if add_product:
@@ -254,11 +251,9 @@ _ROWS = {
 
 def context_by_name(name, lam=-1):
     """The context of the algebra ``name``, one of ``ALGEBRAS``, from its
-    row alone; ``lam`` is the weight of the hsym product, an int as it is,
-    else read by ``Fraction``, then an int if integral."""
-    if type(lam) is not int:
-        lam = Fraction(lam)
-        lam = lam.numerator if lam.denominator == 1 else lam
+    row alone, at the hsym weight ``lam``: an int, else ``Fraction(lam)``, an int if integral."""
+    if type(lam) is not int and (lam := Fraction(lam)).denominator == 1:
+        lam = lam.numerator
     if name not in _ROWS:
         raise ValueError(f"unknown algebra {name!r}")
     return HopfContext(name, *_ROWS[name](lam))

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from wqsym import cli, hopf, morphisms, ppartitions
 from wqsym.cli import _listing, _Parser, build_parser, main, parse_argv
-from wqsym.compositions import EPS, comp_to_text, refinement_terms, regularized_compositions
+from wqsym.compositions import (EPS, comp_to_text, eps_runs, refinement_terms,
+                                 regularized_compositions)
 from wqsym.hopf import ALGEBRAS, context_by_name
 from wqsym.laws import Law, run_laws
 from wqsym.lincomb import LinComb, lincomb_from_json
@@ -340,12 +341,31 @@ def test_convert_and_coproduct_bounds_count_their_terms():
         < estimate("coproduct", "--algebra", "rqsym-f", "100000")
 
 
+def _walk_bounds(alpha):
+    """The bounds that the proof in ``cli._output_size`` gives the three
+    walks of the rqsym-f antipode of ``alpha`` (F -> M, the monomial
+    antipode, M -> F), each a product of one factor per gap of the units of
+    ``alpha``, at most 3^(1 + i) for an inner gap with i e's and 3^i for an
+    end; for e^E alone, E, 2^E - 1 and T(E - 1)."""
+    tri = lambda i: (i + 1) * (i + 2) // 2
+    runs, parts = eps_runs(alpha)
+    if not parts:
+        return runs[0], 2 ** runs[0] - 1, tri(runs[0] - 1)
+    inside, cuts, ends = sum(parts) - len(parts), runs[1:-1], (runs[0], runs[-1])
+    return (2 ** inside * math.prod(i + 1 for i in (*cuts, *ends)),
+            3 ** inside * math.prod(2 ** (i + 2) - 2 for i in cuts)
+            * math.prod(2 ** (i + 1) - 1 for i in ends),
+            3 ** inside * math.prod(2 + tri(i) for i in cuts) * math.prod(map(tri, ends)))
+
+
 def test_rqsym_f_antipode_bound_counts_the_monomial_walk(monkeypatch):
     """The closed rqsym-f antipode walks F -> M, the monomial antipode and
-    M -> F.  On every key of weight w <= 7 each walk lists at most 3^(w - 1)
-    terms, the last two as many at w = 7, and the bound is at least the
-    entries of all three.  The part 14 (about 6 s) is admitted and 15
-    refused."""
+    M -> F.  On every key of weight w <= 7 each walk lists at most the terms
+    that ``_walk_bounds`` gives, at most 3^(w - 1), the last two as many at
+    w = 7, and the bound is at least the entries of all three.  Each factor
+    of ``_walk_bounds`` keeps to its power of 3 for every run of e's up to
+    the weight 14 that the limit admits, so every admitted key keeps to
+    3^(w - 1) too.  The part 14 (about 6 s) is admitted and 15 refused."""
     walks = {}
 
     def counting(name, fn):
@@ -356,8 +376,8 @@ def test_rqsym_f_antipode_bound_counts_the_monomial_walk(monkeypatch):
             return lc
         return walk
 
-    for name, fn in [("f_to_m_cached", hopf.f_to_m), ("m_to_f_cached", hopf.m_to_f),
-                     ("rqsym_antipode_m", hopf.rqsym_antipode_m)]:
+    names = ("f_to_m_cached", "rqsym_antipode_m", "m_to_f_cached")
+    for name, fn in zip(names, (hopf.f_to_m, hopf.rqsym_antipode_m, hopf.m_to_f)):
         monkeypatch.setattr(hopf, name, counting(name, fn))
     most = {}
     for w in range(8):
@@ -367,10 +387,18 @@ def test_rqsym_f_antipode_bound_counts_the_monomial_walk(monkeypatch):
             assert len(walks) == 3 or not alpha
             entries = sum(entries for _, entries in walks.values())
             assert entries <= estimate("antipode", "--algebra", "rqsym-f", comp_to_text(alpha))
+            if alpha:
+                for name, bound in zip(names, _walk_bounds(alpha)):
+                    assert walks[name][0] <= bound <= 3 ** (w - 1), (alpha, name)
             for name, (terms, _) in walks.items():
                 most[w, name] = max(most.get((w, name), 0), terms)
     assert all(terms <= 3 ** max(w - 1, 0) for (w, _), terms in most.items())
     assert most[7, "rqsym_antipode_m"] == most[7, "m_to_f_cached"] == 3 ** 6
+    tri = lambda i: (i + 1) * (i + 2) // 2
+    for i in range(15):
+        assert max(2, i + 1, 2 ** (i + 2) - 2, 2 + tri(i)) <= 3 ** (1 + i)
+        assert max(i + 1, 2 ** (i + 1) - 1, tri(i)) <= 3 ** i
+        assert i == 0 or max(i, 2 ** i - 1, tri(i - 1)) <= 3 ** (i - 1)
     assert estimate("antipode", "--algebra", "rqsym-f", "14") <= cli.OPERATION_MAX_ENTRIES \
         < estimate("antipode", "--algebra", "rqsym-f", "15")
 
@@ -607,9 +635,9 @@ def test_hopf_suite_refuses_a_weight_its_algebra_never_reads(capsys, algebra, di
 @pytest.mark.parametrize("text", ["-1", "1_0", " 1 ", "+1", "-0", "4/2", "1e2", "1.5",
                                   "0x1", "2/0", "abc"])
 def test_weight_is_read_once_as_fraction_reads_it(capsys, text):
-    """``--lambda`` is ``Fraction(text)``, an int when integral, in an hsym
-    product and in the verify report; a text that ``Fraction`` refuses
-    exits 2 with the same one error line in both commands."""
+    """``--lambda`` is ``Fraction(text)``, in an hsym product and in the
+    verify report; a text that ``Fraction`` refuses exits 2 with the same
+    one error line in both commands."""
     product = ("product", "--algebra", "hsym", "--lambda", text, "1,-2", "-1,-2")
     verify = ("verify", "--suite", "hopf", "--algebra", "hsym", "--lambda", text,
               "--max-degree", "1")
@@ -620,12 +648,29 @@ def test_weight_is_read_once_as_fraction_reads_it(capsys, text):
             assert run(capsys, *argv) == (2, "", f"error: bad rational {text!r}\n")
         return
     lam = cli._parse_lambda(text)
-    assert lam == want and type(lam) is (int if want.denominator == 1 else Fraction)
+    assert lam == want and type(lam) in (int, Fraction)
     code, out, _ = run(capsys, *product)
     assert code == 0 and lincomb_from_json(json.loads(out), text_to_perm) == \
         context_by_name("hsym", want).product((1, -2), (-1, -2))
     code, out, _ = run(capsys, *verify)
     assert code == 0 and json.loads(out)["summary"]["lambda"] == str(want)
+
+
+def test_weight_with_an_underscore_is_read_by_fraction_alone(capsys, monkeypatch):
+    """``int`` reads "1_0" as 10, which ``Fraction`` refuses before Python
+    3.11: with a Fraction that refuses "_", as there, "1_0" still exits 2.
+    An integer text without "_", as the default "-1", is read as an int."""
+    def fraction_refusing_underscores(text, *args):
+        if "_" in str(text):
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        return Fraction(text, *args)
+
+    assert type(cli._parse_lambda("-1")) is int and type(cli._parse_lambda(" +7 ")) is int
+    monkeypatch.setattr(cli, "Fraction", fraction_refusing_underscores)
+    for argv in (("product", "--algebra", "hsym", "--lambda", "1_0", "1", "1"),
+                 ("verify", "--suite", "hopf", "--algebra", "hsym", "--lambda", "1_0")):
+        assert run(capsys, *argv) == (2, "", "error: bad rational '1_0'\n")
+    assert cli._parse_lambda("4/2") == 2 and cli._parse_lambda("-1") == -1
 
 
 def test_verify_reads_weight_minus_one_as_the_default(capsys):
