@@ -60,6 +60,9 @@ for name, lam, x in [
 ]:
     algebra = name.split("-lam")[0]
     CASES[f"antipode-{name}"] = ("antipode", "--algebra", algebra, "--lambda", lam, x)
+# 12 terms, with runs of e's inside and at both ends, captured while the F
+# antipode still went F -> M -> S -> M -> F
+CASES["antipode-rqsym-f-runs"] = ("antipode", "--algebra", "rqsym-f", "e,e,1,e,e,e,2,e,e")
 for algebra, x in [("hsym", "-2,3,-1"), ("ssym", "3,1,2"), ("rqsym-m", "e,2,e"),
                    ("rqsym-f", "1,e,1"), ("qsym", "2,1,1")]:
     CASES[f"coproduct-{algebra}"] = ("coproduct", "--algebra", algebra, x)
