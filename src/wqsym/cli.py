@@ -96,13 +96,17 @@ def _at_least(value, low, flag):
 
 
 def _parse_lambda(text):
-    """``Fraction(text)``, read once."""
+    """``Fraction(text)``, read once.  A decimal exponent above 4300 in
+    absolute value, the most digits ``int`` reads, is refused unread, as
+    ``Fraction`` would take seconds to build a power of 10 that long."""
     if "_" not in text:  # int reads as Fraction does but "_", which Fraction refuses before 3.11
         try:
             return int(text)
         except ValueError:
             pass
     try:
+        if (exp := re.search(r"[eE][-+]?([\d_]+)\s*\Z", text)) and int(exp[1]) > 4300:
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise CLIError(f"bad rational {text!r}") from None
@@ -133,19 +137,12 @@ def _output_size(algebra, merging, *sizes):
     A product of keys of sizes m <= n has at most the C(m + n, m) >= 2^m
     shuffles of two words of those lengths, and with ``merging`` at most
     their D(m, n) = sum_r C(m, r) C(n, r) 2^r quasi-shuffles; an F key of
-    weight w has a preimage under ``wcomp`` of w letters.  The closed-form
-    antipode of a monomial key of l parts has a term per composition of l;
-    of an F key of weight d it walks F -> M, the monomial antipode, M -> F,
-    each at most 3^(d - 1) terms.  Read the key as P units with i e's in each
-    of its P + 1 gaps: a walk is a product of a factor per inner gap, at most
-    3^(1 + i), and per end, at most 3^i.  F -> M: 2 (a cut or not) or i + 1
-    (the e's kept); by 2^(l - 1): 3, 2^(i + 2) - 2, 2^(i + 1) - 1 at an end;
-    M -> F refines their coarsenings, any cuts, n <= i e's at a cut or an end:
-    2 + T(i), T(i) = (i + 1)(i + 2)/2 at an end.  e^E: E, 2^E - 1, T(E - 1).
-    A graded antipode keeps to the keys of at most its key's degree d, d
-    alone without ``merging``: 2^j j! signed permutations of each length j,
-    j! in ssym.  In degree d there are at least 2^(d - 1) of them, so a
-    size above 64 gives 2^64."""
+    weight w has a preimage under ``wcomp`` of w letters.  Every closed-form
+    antipode, of a composition key of size d, has at most 2^(d - 1) terms of
+    at most d parts (see ``hopf``).  A graded antipode keeps to the keys of
+    at most its key's degree d, d alone without ``merging``: 2^j j! signed
+    permutations of each length j, j! in ssym.  In degree d there are at
+    least 2^(d - 1) of them, so a size above 64 gives 2^64."""
     if min(sizes) > 64:
         return 1 << 64
     if len(sizes) == 2:
@@ -153,10 +150,8 @@ def _output_size(algebra, merging, *sizes):
         return (m + n) * (sum([comb(m, r) * comb(n, r) << r for r in range(m + 1)])
                           if merging else comb(m + n, m))
     d, = sizes
-    if algebra in ("rqsym-m", "qsym"):
+    if algebra not in ("hsym", "ssym"):
         return d * (1 << d >> 1 or 1)
-    if algebra == "rqsym-f":
-        return d * 3 ** d
     return d * sum([factorial(j) << (j if algebra == "hsym" else 0)
                     for j in range(0 if merging else d, d + 1)])
 

@@ -10,10 +10,11 @@ word, the multinomial counts of all-negative products, a second bullet
 for the quasi-shuffle laws, the shifted product with every term
 standardized, the coproduct of signed permutations with every leg
 standardized from scratch, the graded antipode over memoized products,
-the product of fundamentals through the monomial basis, the Aguiar-Bergeron-Sottile map Psi_zeta into QSym, the
-series 1, the coordinatewise product of truncated series, the monomial
-functions in k variables, and the statistics, descent set, refinement
-order and concatenations of compositions.
+the product and the antipode of fundamentals through the monomial basis,
+the Aguiar-Bergeron-Sottile map Psi_zeta into QSym, the series 1, the
+coordinatewise product of truncated series, the monomial functions in k
+variables, and the statistics, descent set, refinement order and
+concatenations of compositions.
 None of them is used by the library itself.
 """
 from __future__ import annotations
@@ -32,7 +33,7 @@ from wqsym.compositions import (
     star_product,
     total_weight,
 )
-from wqsym.hopf import context_by_name, f_to_m, m_to_f
+from wqsym.hopf import context_by_name, f_to_m, m_to_f, rqsym_antipode_m
 from wqsym.lincomb import LinComb, accumulate, lc_mul, tensor
 from wqsym.ppartitions import Series, chain_poset, gamma
 from wqsym.words import quasi_shuffle, shift, sign_bullet, standardize
@@ -294,6 +295,13 @@ def rqsym_product_f_via_m(alpha, beta):
     M, take the composition quasi-shuffle of every pair, and convert back
     to F.  The reference for the product through signed permutations."""
     return lc_mul(f_to_m(alpha), f_to_m(beta), star_product).map_basis(m_to_f)
+
+
+def rqsym_antipode_f_reference(alpha):
+    """S(F_alpha) through the monomial basis: expand in M, take the closed
+    monomial antipode of every term, and convert back to F.  The reference
+    for the closed form on the fundamental basis."""
+    return f_to_m(alpha).map_basis(rqsym_antipode_m).map_basis(m_to_f)
 
 
 def psi_zeta(pi):

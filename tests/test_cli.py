@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from wqsym import cli, hopf, morphisms, ppartitions
 from wqsym.cli import _listing, _Parser, build_parser, main, parse_argv
-from wqsym.compositions import (EPS, comp_to_text, eps_runs, refinement_terms,
+from wqsym.compositions import (EPS, comp_to_text, refinement_terms,
                                  regularized_compositions)
 from wqsym.hopf import ALGEBRAS, context_by_name
 from wqsym.laws import Law, run_laws
@@ -273,9 +273,9 @@ def output_size(algebra, lam, *texts):
     ("antipode", "--algebra", "hsym", "1,-2,3,-4,5,-6,7,-8,-9"),
     ("antipode", "--algebra", "ssym", "1,2,3,4,5,6,7,8,9,10,11"),
     ("antipode", "--algebra", "rqsym-m", ",".join(["1"] * 30)),
-    ("antipode", "--algebra", "rqsym-f", "17"),
-    ("antipode", "--algebra", "rqsym-f", "16"),
-    ("antipode", "--algebra", "rqsym-f", "15"),
+    ("antipode", "--algebra", "rqsym-f", "24"),
+    ("antipode", "--algebra", "rqsym-f", ",".join(["e"] * 24)),
+    ("antipode", "--algebra", "qsym", ",".join(["1"] * 24)),
 ])
 def test_product_and_antipode_refuse_an_oversized_request(capsys, monkeypatch, argv):
     """Checked by the estimate alone: each exits 2 before the context
@@ -341,66 +341,25 @@ def test_convert_and_coproduct_bounds_count_their_terms():
         < estimate("coproduct", "--algebra", "rqsym-f", "100000")
 
 
-def _walk_bounds(alpha):
-    """The bounds that the proof in ``cli._output_size`` gives the three
-    walks of the rqsym-f antipode of ``alpha`` (F -> M, the monomial
-    antipode, M -> F), each a product of one factor per gap of the units of
-    ``alpha``, at most 3^(1 + i) for an inner gap with i e's and 3^i for an
-    end; for e^E alone, E, 2^E - 1 and T(E - 1)."""
-    tri = lambda i: (i + 1) * (i + 2) // 2
-    runs, parts = eps_runs(alpha)
-    if not parts:
-        return runs[0], 2 ** runs[0] - 1, tri(runs[0] - 1)
-    inside, cuts, ends = sum(parts) - len(parts), runs[1:-1], (runs[0], runs[-1])
-    return (2 ** inside * math.prod(i + 1 for i in (*cuts, *ends)),
-            3 ** inside * math.prod(2 ** (i + 2) - 2 for i in cuts)
-            * math.prod(2 ** (i + 1) - 1 for i in ends),
-            3 ** inside * math.prod(2 + tri(i) for i in cuts) * math.prod(map(tri, ends)))
-
-
-def test_rqsym_f_antipode_bound_counts_the_monomial_walk(monkeypatch):
-    """The closed rqsym-f antipode walks F -> M, the monomial antipode and
-    M -> F.  On every key of weight w <= 7 each walk lists at most the terms
-    that ``_walk_bounds`` gives, at most 3^(w - 1), the last two as many at
-    w = 7, and the bound is at least the entries of all three.  Each factor
-    of ``_walk_bounds`` keeps to its power of 3 for every run of e's up to
-    the weight 14 that the limit admits, so every admitted key keeps to
-    3^(w - 1) too.  The part 14 (about 6 s) is admitted and 15 refused."""
-    walks = {}
-
-    def counting(name, fn):
-        def walk(key):
-            lc = fn(key)
-            terms, entries = walks.get(name, (0, 0))
-            walks[name] = terms + len(lc), entries + sum(map(len, lc.terms))
-            return lc
-        return walk
-
-    names = ("f_to_m_cached", "rqsym_antipode_m", "m_to_f_cached")
-    for name, fn in zip(names, (hopf.f_to_m, hopf.rqsym_antipode_m, hopf.m_to_f)):
-        monkeypatch.setattr(hopf, name, counting(name, fn))
-    most = {}
-    for w in range(8):
-        for alpha in regularized_compositions(w):
-            walks.clear()
-            hopf.rqsym_antipode_f(alpha)
-            assert len(walks) == 3 or not alpha
-            entries = sum(entries for _, entries in walks.values())
-            assert entries <= estimate("antipode", "--algebra", "rqsym-f", comp_to_text(alpha))
-            if alpha:
-                for name, bound in zip(names, _walk_bounds(alpha)):
-                    assert walks[name][0] <= bound <= 3 ** (w - 1), (alpha, name)
-            for name, (terms, _) in walks.items():
-                most[w, name] = max(most.get((w, name), 0), terms)
-    assert all(terms <= 3 ** max(w - 1, 0) for (w, _), terms in most.items())
-    assert most[7, "rqsym_antipode_m"] == most[7, "m_to_f_cached"] == 3 ** 6
-    tri = lambda i: (i + 1) * (i + 2) // 2
-    for i in range(15):
-        assert max(2, i + 1, 2 ** (i + 2) - 2, 2 + tri(i)) <= 3 ** (1 + i)
-        assert max(i + 1, 2 ** (i + 1) - 1, tri(i)) <= 3 ** i
-        assert i == 0 or max(i, 2 ** i - 1, tri(i - 1)) <= 3 ** (i - 1)
-    assert estimate("antipode", "--algebra", "rqsym-f", "14") <= cli.OPERATION_MAX_ENTRIES \
-        < estimate("antipode", "--algebra", "rqsym-f", "15")
+def test_composition_antipodes_are_answered_to_the_size_23(capsys):
+    """Every closed-form antipode of a composition key of size d has at
+    most 2^(d - 1) terms, as many as qsym 1^d has, of at most d parts: on
+    every key of size <= 8 in the three rows.  So the size 23 is admitted
+    and 24 refused, in every row, the rqsym-f part 23 too, and the part 15
+    is answered."""
+    ones = lambda n: ",".join(["1"] * n)
+    for algebra in ("rqsym-m", "qsym", "rqsym-f"):
+        ctx = context_by_name(algebra)
+        size = ctx.degree if algebra == "rqsym-f" else len
+        for x in (x for d in range(9) for x in ctx.basis(d)):
+            lc, d = ctx.antipode(x), size(x)
+            assert len(lc) <= (1 << d >> 1 or 1) and all(len(k) <= d for k in lc.terms), x
+        assert estimate("antipode", "--algebra", algebra, ones(23)) <= cli.OPERATION_MAX_ENTRIES \
+            < estimate("antipode", "--algebra", algebra, ones(24))
+    assert len(context_by_name("qsym").antipode((1,) * 8)) == 2 ** 7
+    assert estimate("antipode", "--algebra", "rqsym-f", "23") <= cli.OPERATION_MAX_ENTRIES
+    code, out, _ = run(capsys, "antipode", "--algebra", "rqsym-f", "15", "--format", "text")
+    assert (code, out) == (0, f"-1*F[{ones(15)}]\n")
 
 
 def test_every_command_with_elements_declares_a_bound(tmp_path, capsys, monkeypatch):
@@ -415,7 +374,7 @@ def test_every_command_with_elements_declares_a_bound(tmp_path, capsys, monkeypa
     oversized = {
         "product": (["--algebra", "hsym", neg, neg], "write more than 100000000 entries"),
         "coproduct": (["--algebra", "rqsym-f", "100000000"], "write more than 200000 entries"),
-        "antipode": (["--algebra", "rqsym-f", "17"], "write more than 100000000 entries"),
+        "antipode": (["--algebra", "rqsym-f", "24"], "write more than 100000000 entries"),
         "convert": (["--from", "f", "--to", "m", "40"], "write more than 3000000 entries"),
         "gamma": (["--poset", str(poset), "--vars", "3"],
                   "walk more than 1000000 packed P-partitions"),
@@ -671,6 +630,25 @@ def test_weight_with_an_underscore_is_read_by_fraction_alone(capsys, monkeypatch
                  ("verify", "--suite", "hopf", "--algebra", "hsym", "--lambda", "1_0")):
         assert run(capsys, *argv) == (2, "", "error: bad rational '1_0'\n")
     assert cli._parse_lambda("4/2") == 2 and cli._parse_lambda("-1") == -1
+
+
+def test_weight_with_a_long_exponent_is_refused_unread(capsys, monkeypatch):
+    """``Fraction`` builds 10^n for an exponent n, seconds for n = 10^7, so
+    an exponent above 4300 in absolute value exits 2 before it reads the
+    text; shorter ones, and texts without one, are read as before."""
+    assert cli._parse_lambda("1e-3") == Fraction(1, 1000)
+    assert cli._parse_lambda("2/3") == Fraction(2, 3)
+    assert cli._parse_lambda(" -1E+4300 ") == -10**4300
+
+    def never(*args):
+        raise AssertionError("Fraction read the text")
+
+    monkeypatch.setattr(cli, "Fraction", never)
+    for text in ("1e10000000", "1e100000000", "1E+4301", "1.5e-4301", " 1e43_01 "):
+        argv = ("product", "--algebra", "hsym", "--lambda", text, "-1,-2", "-1,-2")
+        assert run(capsys, *argv) == (2, "", f"error: bad rational {text!r}\n")
+    with pytest.raises(cli.CLIError, match="bad rational"):
+        cli._parse_lambda("-1e4301")
 
 
 def test_verify_reads_weight_minus_one_as_the_default(capsys):

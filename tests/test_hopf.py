@@ -1,5 +1,6 @@
 """Coproducts, antipodes, basis changes, and the axiom checker."""
 
+import contextlib
 import functools
 import importlib
 import os
@@ -29,6 +30,7 @@ from wqsym.hopf import (
     f_to_m,
     m_to_f,
     report_to_json,
+    rqsym_antipode_f,
     rqsym_antipode_m,
     rqsym_coproduct_f,
     rqsym_product_f,
@@ -43,6 +45,7 @@ from wqsym.words import (
 )
 from oracles import (
     graded_antipode_reference,
+    rqsym_antipode_f_reference,
     rqsym_product_f_via_m,
     standardized_deconcatenation,
     weight,
@@ -180,6 +183,15 @@ def test_closed_antipodes_match_the_graded_recursion(name):
         assert ctx.antipode(alpha) == ctx.graded_antipode(alpha), alpha
 
 
+def test_f_antipode_matches_the_monomial_walk():
+    """The closed F antipode against F -> M, S, M -> F, as full
+    combinations, on all 987 keys of weight <= 7."""
+    keys = [alpha for w in range(8) for alpha in regularized_compositions(w)]
+    assert len(keys) == 987
+    for alpha in keys:
+        assert rqsym_antipode_f(alpha) == rqsym_antipode_f_reference(alpha), alpha
+
+
 def test_f_to_m_examples():
     assert f_to_m((2,)) == LinComb({(2,): 1, (1, 1): 1})
     assert f_to_m((EPS,)) == LinComb.single((EPS,))
@@ -264,32 +276,52 @@ def test_f_product_matches_the_monomial_route_sampled(pair):
     assert rqsym_product_f(a, b) == rqsym_product_f_via_m(a, b)
 
 
-def test_cross_check_catches_the_wrong_weight(tmp_path, monkeypatch):
-    """A copy of the package whose F product uses the weight 0 shuffle
-    must fail the cross-check against the monomial route."""
+@contextlib.contextmanager
+def mutant_hopf(tmp_path, monkeypatch, text, replacement):
+    """``hopf`` of a copy of the package whose ``hopf.py`` has its one
+    ``text`` replaced."""
     mutant = tmp_path / "wqsym_mutant"
     shutil.copytree(os.path.dirname(hopf.__file__), mutant,
                     ignore=shutil.ignore_patterns("__pycache__"))
     source = (mutant / "hopf.py").read_text()
-    weighted = "quasi_shuffle(s, shift(t, len(s)), -1)"
-    assert source.count(weighted) == 1
-    (mutant / "hopf.py").write_text(source.replace(weighted, weighted.replace("-1", "0")))
+    assert source.count(text) == 1
+    (mutant / "hopf.py").write_text(source.replace(text, replacement))
     monkeypatch.syspath_prepend(str(tmp_path))
     try:
-        mut = importlib.import_module("wqsym_mutant.hopf")
-
-        def mutated(a, b):
-            # the copy has its own EPS, so keys cross over as text
-            a, b = mut.text_to_comp(comp_to_text(a)), mut.text_to_comp(comp_to_text(b))
-            return LinComb((text_to_comp(mut.comp_to_text(k)), c)
-                           for k, c in mut.rqsym_product_f(a, b).terms.items())
-
-        assert mutated((1,), (1,)) == rqsym_product_f((1,), (1,))
-        wrong = sum(mutated(a, b) != rqsym_product_f_via_m(a, b) for a, b in f_pairs(4))
-        assert wrong > 0
+        yield importlib.import_module("wqsym_mutant.hopf")
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] == "wqsym_mutant"]:
             del sys.modules[name]
+
+
+def across(mut, fn):
+    """``fn`` of the copy ``mut`` on keys of this package: the copy has its
+    own EPS, so keys cross over as text."""
+    def crossed(*keys):
+        keys = [mut.text_to_comp(comp_to_text(k)) for k in keys]
+        return LinComb((text_to_comp(mut.comp_to_text(k)), c) for k, c in fn(*keys).terms.items())
+    return crossed
+
+
+def test_cross_check_catches_the_wrong_weight(tmp_path, monkeypatch):
+    """A copy of the package whose F product uses the weight 0 shuffle
+    must fail the cross-check against the monomial route."""
+    weighted = "quasi_shuffle(s, shift(t, len(s)), -1)"
+    with mutant_hopf(tmp_path, monkeypatch, weighted, weighted.replace("-1", "0")) as mut:
+        mutated = across(mut, mut.rqsym_product_f)
+        assert mutated((1,), (1,)) == rqsym_product_f((1,), (1,))
+        wrong = sum(mutated(a, b) != rqsym_product_f_via_m(a, b) for a, b in f_pairs(4))
+        assert wrong > 0
+
+
+def test_f_antipode_cross_check_catches_a_wrong_binomial(tmp_path, monkeypatch):
+    """A copy of the package that reads a run of k e's with C(k, j) in
+    place of C(k - 1, j - 1) must fail the cross-check."""
+    with mutant_hopf(tmp_path, monkeypatch, "comb(k - 1, j - 1)", "comb(k, j)") as mut:
+        mutated = across(mut, mut.rqsym_antipode_f)
+        assert mutated((EPS,)) == rqsym_antipode_f((EPS,))
+        keys = [alpha for w in range(5) for alpha in regularized_compositions(w)]
+        assert sum(mutated(a) != rqsym_antipode_f_reference(a) for a in keys) > 0
 
 
 def test_qsym_closure():
