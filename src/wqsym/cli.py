@@ -11,6 +11,8 @@ limit, which ``main`` applies before the command's handler runs.
 ``_read_plain``) is read in one pass over it, with no parser built.
 argparse reads any other line and writes every help and error: the
 command's parser for a known command, the top-level parser otherwise.
+The morphisms, the P-partitions and ``json`` are imported by the commands
+that run them, so that a command loads only the modules it runs.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
 2 on malformed input, on a request past its command's work bound, or when
@@ -20,23 +22,29 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import itertools
-import json
 import os
 import re
 import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, log10, prod
 
 from .compositions import EPS, eps_runs, text_to_comp, total_weight
 from .words import text_to_perm
 from .laws import merge_reports, report_to_json
 from .lincomb import lincomb_to_text, sorted_keys
-from . import hopf, morphisms, ppartitions
+from . import hopf
 
 
 class CLIError(Exception):
     pass
+
+
+def _module(name):
+    """``wqsym.<name>``, imported by the first command that runs it; read
+    from ``sys.modules`` first, which costs a sixth of ``import_module``."""
+    return sys.modules.get(f"wqsym.{name}") or importlib.import_module(f"wqsym.{name}")
 
 
 # one term of a listing as json.dumps(indent=2) writes it, by the kind of
@@ -137,9 +145,9 @@ def _output_size(algebra, merging, *sizes):
     A product of keys of sizes m <= n has at most the C(m + n, m) >= 2^m
     shuffles of two words of those lengths, and with ``merging`` at most
     their D(m, n) = sum_r C(m, r) C(n, r) 2^r quasi-shuffles; an F key of
-    weight w has a preimage under ``wcomp`` of w letters.  Every closed-form
-    antipode, of a composition key of size d, has at most 2^(d - 1) terms of
-    at most d parts (see ``hopf``).  A graded antipode keeps to the keys of
+    weight w has a preimage under ``wcomp`` of w letters.  A closed-form
+    antipode of an M key of d parts has at most 2^(d - 1) terms of at most
+    d parts (see ``hopf``).  A graded antipode keeps to the keys of
     at most its key's degree d, d alone without ``merging``: 2^j j! signed
     permutations of each length j, j! in ssym.  In degree d there are at
     least 2^(d - 1) of them, so a size above 64 gives 2^64."""
@@ -157,9 +165,13 @@ def _output_size(algebra, merging, *sizes):
 
 
 def _operation_size(args, limit):
-    """product and antipode: ``_output_size``.  coproduct: its size + 1
-    terms, len + 1 deconcatenations and in rqsym-f weight - len near
-    splits, of at most len + 1 letters or parts each."""
+    """product and antipode: ``_output_size``, for an rqsym-f antipode its
+    terms, the product of max(i, 1) over the key's runs of i epsilons, times
+    the weight.  coproduct: its size + 1 terms, len + 1 deconcatenations and
+    in rqsym-f weight - len near splits, of at most len + 1 letters or parts
+    each.  An hsym term that loses r letters to merges, at most min(m, n) in
+    a product and d - 1 in an antipode, has the coefficient w^r at a weight
+    w = p/q; past 4300 digits, the most ``str`` writes, it is refused."""
     lam = _parse_lambda(args.lam)
     ctx = hopf.context_by_name(args.algebra, lam)
     keys = [ctx.parse_key(text) for text in args.elements]
@@ -167,8 +179,15 @@ def _operation_size(args, limit):
     size = len if args.algebra in ("rqsym-m", "qsym") else ctx.degree
     if args.command == "coproduct":
         return (size(keys[0]) + 1) * (len(keys[0]) + 1)
+    sizes = [*map(size, keys)]
+    if args.algebra == "hsym" and lam:
+        lost = min(sizes) if args.command == "product" else sizes[0] - 1
+        if lost * log10(max(abs(lam.numerator), lam.denominator)) >= 4300:
+            raise CLIError(f"{args.command} would write a coefficient of more than 4300 digits")
+    elif args.algebra == "rqsym-f" and args.command == "antipode":
+        return prod(max(i, 1) for i in eps_runs(keys[0])[0]) * sizes[0]
     merging = bool(lam) if args.algebra == "hsym" else args.algebra != "ssym"
-    return _output_size(args.algebra, merging, *map(size, keys))
+    return _output_size(args.algebra, merging, *sizes)
 
 
 def _convert_size(args, limit):
@@ -192,6 +211,7 @@ def _convert_size(args, limit):
 
 def _walk_size(args, limit):
     """gamma: ``ppartitions.walk_size`` of the poset in k variables."""
+    ppartitions = _module("ppartitions")
     try:
         with open(args.poset) as fh:
             poset = ppartitions.parse_poset(fh.read())
@@ -206,6 +226,7 @@ def _expand_size(args, limit):
     """expand: k exponents, and for F the letters of the chain, per term or
     P-partition that ``ppartitions.expansion_size`` counts, no word built."""
     alpha, k = text_to_comp(args.elements[0]), _at_least(args.vars, 1, "--vars")
+    ppartitions = _module("ppartitions")
     args.work = getattr(ppartitions, f"expand_{args.basis}"), (alpha, k), None
     width = k + (total_weight(alpha) if args.basis == "f" else 0)
     return width if width > limit else width * ppartitions.expansion_size(
@@ -233,7 +254,7 @@ MAPS = {
 def cmd_map(args):
     read, fn, target = MAPS[args.which]
     key = read(args.elements[0])
-    _emit(getattr(morphisms, fn)(key), hopf.context_by_name(target), args.format)
+    _emit(getattr(_module("morphisms"), fn)(key), hopf.context_by_name(target), args.format)
     return 0
 
 
@@ -268,11 +289,11 @@ def _run_sharded(verifier, params, jobs):
 # ``cmd_verify`` refuses an algebra on any other suite, and a weight but -1 unless hsym runs
 SUITES = {
     "hopf": lambda d, lam, algebras: [(f"{a}: ", _verify_algebra, (a, lam, d)) for a in algebras],
-    "morphisms": lambda d, *_: [("", morphisms.verify_morphism_laws, (d,)),
-                                ("", morphisms.verify_annihilation, (d,))],
-    "square": lambda d, *_: [("", morphisms.verify_square, (d,))],
-    "surjectivity": lambda d, *_: [("", morphisms.verify_surjectivity, (d,))],
-    "gamma": lambda d, *_: [("", ppartitions.verify_gamma_identities,
+    "morphisms": lambda d, *_: [("", _module("morphisms").verify_morphism_laws, (d,)),
+                                ("", _module("morphisms").verify_annihilation, (d,))],
+    "square": lambda d, *_: [("", _module("morphisms").verify_square, (d,))],
+    "surjectivity": lambda d, *_: [("", _module("morphisms").verify_surjectivity, (d,))],
+    "gamma": lambda d, *_: [("", _module("ppartitions").verify_gamma_identities,
                              (d, 2 * d, d + 1, 2 * (d + 1)))],
 }
 
@@ -307,6 +328,8 @@ def cmd_verify(args):
             print(f"{check['status']:4s}  {check['law']}  ({check['checked']} checks)")
         print(f"summary: {failed} mismatches / {total} checks")
     else:
+        import json
+
         print(json.dumps(report, indent=2))
     return 0 if failed == 0 else 1
 

@@ -223,15 +223,17 @@ def text_to_perm(text):
     text = text.strip()
     if text == "id" or text == "":
         return ()
-    out = []
-    for pos, bit in enumerate(text.split(","), start=1):
+    try:
+        out = tuple(map(int, text.split(",")))
+        if is_signed_permutation(out):
+            return out
+    except ValueError:
+        pass
+    for pos, bit in enumerate(text.split(","), start=1):  # name the first bad letter
         try:
             a = int(bit)
         except ValueError:
             raise ValueError(f"bad letter {bit!r} at position {pos} of {text!r}") from None
         if a == 0:
             raise ValueError(f"zero letter at position {pos} of {text!r}")
-        out.append(a)
-    if not is_signed_permutation(out):
-        raise ValueError(f"{text!r} is not a signed permutation")
-    return tuple(out)
+    raise ValueError(f"{text!r} is not a signed permutation")

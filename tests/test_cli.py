@@ -5,6 +5,7 @@ import concurrent.futures
 import contextlib
 import gc
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from wqsym import cli, hopf, morphisms, ppartitions
 from wqsym.cli import _listing, _Parser, build_parser, main, parse_argv
-from wqsym.compositions import (EPS, comp_to_text, refinement_terms,
+from wqsym.compositions import (EPS, comp_to_text, eps_runs, refinement_terms,
                                  regularized_compositions)
 from wqsym.hopf import ALGEBRAS, context_by_name
 from wqsym.laws import Law, run_laws
@@ -273,8 +274,8 @@ def output_size(algebra, lam, *texts):
     ("antipode", "--algebra", "hsym", "1,-2,3,-4,5,-6,7,-8,-9"),
     ("antipode", "--algebra", "ssym", "1,2,3,4,5,6,7,8,9,10,11"),
     ("antipode", "--algebra", "rqsym-m", ",".join(["1"] * 30)),
-    ("antipode", "--algebra", "rqsym-f", "24"),
-    ("antipode", "--algebra", "rqsym-f", ",".join(["e"] * 24)),
+    ("antipode", "--algebra", "rqsym-f", ",".join(["e,e,e,1"] * 14)),
+    ("antipode", "--algebra", "rqsym-f", ",".join(["e,e,1"] * 22)),
     ("antipode", "--algebra", "qsym", ",".join(["1"] * 24)),
 ])
 def test_product_and_antipode_refuse_an_oversized_request(capsys, monkeypatch, argv):
@@ -344,9 +345,9 @@ def test_convert_and_coproduct_bounds_count_their_terms():
 def test_composition_antipodes_are_answered_to_the_size_23(capsys):
     """Every closed-form antipode of a composition key of size d has at
     most 2^(d - 1) terms, as many as qsym 1^d has, of at most d parts: on
-    every key of size <= 8 in the three rows.  So the size 23 is admitted
-    and 24 refused, in every row, the rqsym-f part 23 too, and the part 15
-    is answered."""
+    every key of size <= 8 in the three rows.  So in rqsym-m and qsym the
+    size 23 is admitted and 24 refused; rqsym-f counts its terms exactly,
+    so 1^24 and the part 24, one term each, are answered."""
     ones = lambda n: ",".join(["1"] * n)
     for algebra in ("rqsym-m", "qsym", "rqsym-f"):
         ctx = context_by_name(algebra)
@@ -354,12 +355,67 @@ def test_composition_antipodes_are_answered_to_the_size_23(capsys):
         for x in (x for d in range(9) for x in ctx.basis(d)):
             lc, d = ctx.antipode(x), size(x)
             assert len(lc) <= (1 << d >> 1 or 1) and all(len(k) <= d for k in lc.terms), x
+    for algebra in ("rqsym-m", "qsym"):
         assert estimate("antipode", "--algebra", algebra, ones(23)) <= cli.OPERATION_MAX_ENTRIES \
             < estimate("antipode", "--algebra", algebra, ones(24))
     assert len(context_by_name("qsym").antipode((1,) * 8)) == 2 ** 7
-    assert estimate("antipode", "--algebra", "rqsym-f", "23") <= cli.OPERATION_MAX_ENTRIES
     code, out, _ = run(capsys, "antipode", "--algebra", "rqsym-f", "15", "--format", "text")
     assert (code, out) == (0, f"-1*F[{ones(15)}]\n")
+    code, out, _ = run(capsys, "antipode", "--algebra", "rqsym-f", "24", "--format", "text")
+    assert (code, out) == (0, f"1*F[{ones(24)}]\n")
+    code, out, _ = run(capsys, "antipode", "--algebra", "rqsym-f", ones(24), "--format", "text")
+    assert (code, out) == (0, "1*F[24]\n")
+
+
+def test_rqsym_f_antipode_bound_is_its_exact_term_count():
+    """S(F_alpha) has the product of max(i, 1) over the runs of i epsilons
+    of alpha terms, each of the weight's parts at most: on every regularized
+    composition of weight <= 9.  (e,e,e,1)^14 has 3^14 terms of weight 56,
+    past the limit."""
+    for w in range(10):
+        for alpha in regularized_compositions(w):
+            terms = hopf.rqsym_antipode_f(alpha).terms
+            count = math.prod(max(i, 1) for i in eps_runs(alpha)[0])
+            assert len(terms) == count and all(len(k) <= w for k in terms), alpha
+            assert estimate("antipode", "--algebra", "rqsym-f", comp_to_text(alpha)) == count * w
+    assert estimate("antipode", "--algebra", "rqsym-f", ",".join(["e,e,e,1"] * 14)) \
+        > cli.OPERATION_MAX_ENTRIES
+
+
+@pytest.mark.parametrize("command, lam, keys", [
+    ("product", "1e4300", ("-1", "-1")),
+    ("product", "1/1" + "0" * 2150, ("-1,-2", "2,1")),
+    ("antipode", "1e1000", ("-1,-2,-3,-4,-5,-6",)),
+], ids=["product-1e4300", "product-1/1e2150", "antipode-1e1000"])
+def test_coefficients_past_the_digit_limit_are_refused_unworked(capsys, monkeypatch, command,
+                                                              lam, keys):
+    """An hsym weight whose power at the most letters a term loses has
+    more than 4300 digits, which str cannot write, is refused before the
+    work."""
+    def never(*args):
+        raise AssertionError("the refused operation ran")
+
+    def context(*args):
+        ctx = context_by_name(*args)
+        ctx.product = ctx.antipode = never
+        return ctx
+
+    monkeypatch.setattr(cli.hopf, "context_by_name", context)
+    code, out, err = run(capsys, command, "--algebra", "hsym", "--lambda", lam, *keys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {command} would write a coefficient of more than 4300 digits\n"
+
+
+def test_coefficients_at_the_digit_limit_are_written(capsys):
+    """Just under the refusal: 10^4299 has 4300 digits, and an antipode of
+    degree 4 at 10^1433 writes (10^1433)^3 as its largest coefficient, while
+    10^1434 is refused."""
+    code, out, _ = run(capsys, "product", "--algebra", "hsym", "--lambda", "1e4299", "-1", "-1")
+    assert code == 0 and [t["coeff"] for t in json.loads(out)["terms"]] == ["1" + "0" * 4299, "1", "1"]
+    code, out, _ = run(capsys, "antipode", "--algebra", "hsym", "--lambda", "1e1433", "-1,-2,-3,-4")
+    assert code == 0 and max(len(t["coeff"].lstrip("-")) for t in json.loads(out)["terms"]) == 4300
+    code, _, _ = run(capsys, "antipode", "--algebra", "hsym", "--lambda", "1e1434", "-1,-2,-3,-4")
+    assert code == 2
 
 
 def test_every_command_with_elements_declares_a_bound(tmp_path, capsys, monkeypatch):
@@ -374,7 +430,8 @@ def test_every_command_with_elements_declares_a_bound(tmp_path, capsys, monkeypa
     oversized = {
         "product": (["--algebra", "hsym", neg, neg], "write more than 100000000 entries"),
         "coproduct": (["--algebra", "rqsym-f", "100000000"], "write more than 200000 entries"),
-        "antipode": (["--algebra", "rqsym-f", "24"], "write more than 100000000 entries"),
+        "antipode": (["--algebra", "rqsym-f", ",".join(["e,e,e,1"] * 14)],
+                     "write more than 100000000 entries"),
         "convert": (["--from", "f", "--to", "m", "40"], "write more than 3000000 entries"),
         "gamma": (["--poset", str(poset), "--vars", "3"],
                   "walk more than 1000000 packed P-partitions"),
@@ -534,10 +591,12 @@ def test_verify_matches_golden(capsys, suite, flags):
 
 
 def test_jobs_do_not_change_output(capsys):
-    args = ("verify", "--suite", "square", "--max-degree", "2")
-    _, solo, _ = run(capsys, *args, "--jobs", "1")
-    _, duo, _ = run(capsys, *args, "--jobs", "2")
-    assert solo == duo
+    """Spawned workers import the suite's module by the verifier's path."""
+    for degree in ("2", "3"):
+        args = ("verify", "--suite", "square", "--max-degree", degree)
+        _, solo, _ = run(capsys, *args, "--jobs", "1")
+        _, duo, _ = run(capsys, *args, "--jobs", "2")
+        assert solo == duo
 
 
 @pytest.mark.parametrize("flags", [
@@ -986,6 +1045,37 @@ def test_commands_leave_no_reference_cycles(argv, tmp_path, capsys):
     finally:
         gc.enable()
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["wqsym", "wqsym.cli"])
+def test_import_loads_only_what_a_command_runs(module):
+    """A fresh import of the package or of the CLI leaves out the morphism
+    laws, the P-partitions and json, which a command imports as it runs."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(*sorted(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src")),
+        capture_output=True, text=True, timeout=120)
+    loaded = set(proc.stdout.split())
+    assert proc.returncode == 0 and module in loaded, proc.stderr
+    assert not loaded & {"wqsym.morphisms", "wqsym.ppartitions", "json"}
+
+
+def test_public_names_are_their_modules_attributes():
+    import wqsym
+
+    assert set(wqsym.__all__) == {
+        "LinComb", "lc_mul", "tensor", "tensor_bilinear", "tensor_bimap", "quasi_shuffle",
+        "shifted_quasi_shuffle", "shifted_shuffle", "standardize", "weak_descent_set", "EPS",
+        "regularize", "star_product", "wcomp", "f_to_m", "m_to_f", "context_by_name",
+        "verify_hopf", "d1", "d2", "phi1_m", "phi1_f", "phi2", "verify_square", "Poset",
+        "Series", "expand_m", "expand_f", "gamma"}
+    for name in wqsym.__all__:
+        module = importlib.import_module(f"wqsym.{wqsym._MODULE_OF[name]}")
+        assert getattr(wqsym, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'phi3'"):
+        wqsym.phi3
+    with pytest.raises(ImportError):
+        from wqsym import phi3  # noqa: F401
 
 
 def test_closed_stdout_exits_two_without_traceback():

@@ -22,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 from unittest import mock
 
@@ -74,6 +75,9 @@ for which, x in [("d1", "3,1,4,2"), ("d2", "-3,1,-4,2"), ("phi1M", "1,e"),
     CASES[f"map-{which}"] = ("map", "--which", which, x)
 # a +-+ word: phi2 sends it to 0, the only zero LinComb listing
 CASES["map-phi2-zero"] = ("map", "--which", "phi2", "1,-2,3")
+# the two commands that CI also runs through the installed console script
+CASES["product-qsym-1-1"] = ("product", "--algebra", "qsym", "1", "1")
+CASES["map-phi2-1-neg2"] = ("map", "--which", "phi2", "1,-2")
 CASES["expand-m"] = ("expand", "--basis", "m", "--vars", "4", "e,2,e")
 CASES["expand-f"] = ("expand", "--basis", "f", "--vars", "3", "e,1,1,e")
 # more parts than variables, so no placement: the empty listing
@@ -130,6 +134,18 @@ def test_cli_matches_golden(case, fmt):
     assert code == 0
     with open(os.path.join(GOLDEN, f"{case}.{FORMATS[fmt]}")) as fh:
         assert out == fh.read()
+
+
+@pytest.mark.parametrize("case", ["map-phi2", "gamma-fork", "expand-f"])
+def test_a_fresh_process_matches_golden(case):
+    """The commands that import their modules as they run, each in a fresh
+    interpreter that has loaded neither."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
+    proc = subprocess.run([sys.executable, "-m", "wqsym.cli", *CASES[case]], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    with open(os.path.join(GOLDEN, f"{case}.json")) as fh:
+        assert proc.stdout == fh.read()
 
 
 def test_heavy_antipodes_match_their_digests():

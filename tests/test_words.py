@@ -395,3 +395,21 @@ def test_perm_text_round_trip():
         text_to_perm("1,0,2")
     with pytest.raises(ValueError, match="bad letter 'x' at position 2 of '1,x'"):
         text_to_perm("1,x")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,x", "bad letter 'x' at position 2 of '1,x'"),
+    ("1,,2", "bad letter '' at position 2 of '1,,2'"),
+    ("x,0", "bad letter 'x' at position 1 of 'x,0'"),
+    ("1,0,2", "zero letter at position 2 of '1,0,2'"),
+    ("2,0,x", "zero letter at position 2 of '2,0,x'"),
+    (" -1,-0 ", "zero letter at position 2 of '-1,-0'"),
+    ("1,1", "'1,1' is not a signed permutation"),
+    ("-1,3", "'-1,3' is not a signed permutation"),
+])
+def test_perm_text_errors_name_the_first_bad_letter(text, message):
+    """The letters are read whole first and walked only to name an error:
+    the first letter that is no integer or is zero, else the word."""
+    with pytest.raises(ValueError) as refused:
+        text_to_perm(text)
+    assert str(refused.value) == message
